@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race bench bench-paper bench-check bench-baseline bench-json prof-diff cover-check verify-oracle fuzz search-smoke soak fabric-smoke lint serve figures verify clean
+.PHONY: all build test short race bench bench-paper bench-check bench-baseline bench-json prof-diff cover-check verify-oracle fuzz search-smoke soak fabric-smoke e2ebench-check lint serve figures verify clean
 
 all: build test
 
@@ -52,7 +52,7 @@ bench-baseline:
 	$(GO) run ./scripts/benchcheck -update -baseline BENCH_baseline.json < bench_baseline.txt
 	rm -f bench_baseline.txt
 
-# Snapshot the current hot-path numbers — the simulator, the grouped
+# Snapshot the current hot-path numbers — the simulator, the engine
 # sweep, and the fabric sweep (BenchmarkFabricSweep/workers=N is the
 # sharded-vs-serialized speedup table; BenchmarkFabricOverhead the
 # coordinator tax) — into BENCH_pr10.json, same format and reduction
@@ -120,6 +120,13 @@ soak:
 # simulates zero points fleet-wide.
 fabric-smoke:
 	$(GO) run ./cmd/risppload -fleet -fleet-size 3 -report fleet-report.json
+
+# The end-to-end benchmark is its own Go module (e2ebench/go.mod, which
+# replaces rispp with this tree), so the root build and tests never compile
+# it. This vets and tests it against the current tree (what the CI
+# e2ebench-check job runs); `bash e2ebench/run.sh` runs the benchmark.
+e2ebench-check:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 # Native fuzzing beyond the committed seed corpora (testdata/fuzz/).
 # FUZZTIME overrides the per-target budget.

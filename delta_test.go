@@ -68,38 +68,6 @@ func TestDeltaSweepMatchesDisabled(t *testing.T) {
 	}
 }
 
-// TestDeltaRunPointSetMatchesRunPoint: the grouped path must give the same
-// results as point-wise runs when delta is on (it splits the set into
-// skips/resumes/records internally).
-func TestDeltaRunPointSetMatchesRunPoint(t *testing.T) {
-	pts := deltaGrid()
-	rn := NewRunner(Config{})
-	want := make([]int64, len(pts))
-	ref := NewRunner(Config{DisableDelta: true})
-	for i, p := range pts {
-		res := new(sim.Result)
-		if err := ref.RunPoint(context.Background(), p, sim.Options{}, res); err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res.TotalCycles
-	}
-	for pass := 0; pass < 2; pass++ {
-		results := make([]*sim.Result, len(pts))
-		for i := range results {
-			results[i] = new(sim.Result)
-		}
-		if err := rn.RunPointSet(context.Background(), pts, sim.Options{}, results); err != nil {
-			t.Fatal(err)
-		}
-		for i := range pts {
-			if results[i].TotalCycles != want[i] {
-				t.Errorf("pass %d, %s/%d ACs: got %d cycles, want %d",
-					pass, pts[i].Scheduler, pts[i].NumACs, results[i].TotalCycles, want[i])
-			}
-		}
-	}
-}
-
 // TestDeltaJournalBytes: a point served from a trail must reproduce the
 // journal byte-for-byte.
 func TestDeltaJournalBytes(t *testing.T) {
@@ -165,6 +133,7 @@ func TestDeltaTrailConcurrentUse(t *testing.T) {
 	}
 
 	shared := NewRunner(Config{})
+	runSet := shared.EngineRunSet()
 	const goroutines = 8
 	const rounds = 3
 	var wg sync.WaitGroup
@@ -191,21 +160,17 @@ func TestDeltaTrailConcurrentUse(t *testing.T) {
 					continue
 				}
 				for _, ps := range groups { // grouped sweeps
-					results := make([]*sim.Result, len(ps))
-					for i := range results {
-						results[i] = shared.GetResult()
-					}
-					if err := shared.RunPointSet(context.Background(), ps, sim.Options{}, results); err != nil {
+					ms, err := runSet(context.Background(), ps)
+					if err != nil {
 						t.Errorf("goroutine %d: %v", g, err)
 						return
 					}
 					for i, p := range ps {
-						if w := want[p.Normalized().Key()]; results[i].TotalCycles != w {
+						if w := want[p.Normalized().Key()]; ms[i].TotalCycles != w {
 							t.Errorf("goroutine %d, %s/%d ACs: got %d cycles, want %d",
-								g, p.Scheduler, p.NumACs, results[i].TotalCycles, w)
+								g, p.Scheduler, p.NumACs, ms[i].TotalCycles, w)
 							return
 						}
-						shared.PutResult(results[i])
 					}
 				}
 			}

@@ -61,12 +61,13 @@ type Engine struct {
 	// Run simulates one point (required).
 	Run RunFunc
 	// RunSet, when non-nil, batches the points of each scheduler group —
-	// points identical except for Point.Scheduler — into one call, letting
-	// the backend walk the shared compiled trace once for all systems of a
-	// grid point (sim.RunCompiledSet). Workers then operate on groups
-	// instead of single points; records, their order, and the cache
-	// behavior are unchanged. Cached points are excluded from the batch; a
-	// RunSet error fails every uncached point of its group.
+	// points identical except for Point.Scheduler — into one call, so one
+	// worker runs a grid point's systems back to back (rispp.Runner's
+	// RunSet runs them one after another, exactly as Run would). Workers
+	// then operate on groups instead of single points; records, their
+	// order, and the cache behavior are unchanged. Cached points are
+	// excluded from the batch; a RunSet error fails every uncached point
+	// of its group.
 	RunSet RunSetFunc
 	// Workers bounds the pool; <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
@@ -190,8 +191,7 @@ func (e *Engine) ExecutePoints(ctx context.Context, jobs []Point, w io.Writer) (
 
 	// The unit of worker dispatch is a group of job indices. Without RunSet
 	// every job is its own group; with RunSet, jobs that differ only in
-	// their scheduler form one group and are simulated in a single pass
-	// over the shared compiled trace.
+	// their scheduler form one group and go to RunSet in one call.
 	groups := make([][]int, 0, len(jobs))
 	if e.RunSet == nil {
 		for i := range jobs {
@@ -295,7 +295,7 @@ func (e *Engine) runJob(ctx context.Context, p Point) (rec Record) {
 
 // runGroup measures a scheduler group in one RunSet call. Cache lookups,
 // cancellation, and cache fills match runJob point-for-point; only the
-// simulation itself is batched. An error (or panic) in RunSet fails every
+// call into the backend is batched. An error (or panic) in RunSet fails every
 // point that was in the batch.
 func (e *Engine) runGroup(ctx context.Context, jobs []Point, group []int, finish func(int, Record)) {
 	pending := make([]int, 0, len(group))

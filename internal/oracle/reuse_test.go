@@ -2,10 +2,9 @@
 // and is then rerun (the simulator Resets it in place — the contract the
 // rispp.Runner runtime pool is built on) must produce results field-exact
 // identical to a freshly constructed runtime, including the JSONL journal
-// byte for byte. Likewise the batched single-pass walk (sim.RunCompiledSet)
-// must match sequential fresh runs. Both properties are checked over the
-// oracle's seeded generators: hundreds of (hardware, workload, AC-count)
-// configurations across all six run-time systems.
+// byte for byte. The property is checked over the oracle's seeded
+// generators: hundreds of (hardware, workload, AC-count) configurations
+// across all six run-time systems.
 package oracle_test
 
 import (
@@ -77,42 +76,6 @@ func TestReuseEquivalenceGeneratedCorpus(t *testing.T) {
 			if !bytes.Equal(freshJournal.Bytes(), reusedJournal.Bytes()) {
 				t.Errorf("seed %d, system %s, %d ACs: journal bytes differ between fresh and reused runtime",
 					seed, sys, acs)
-			}
-		}
-	}
-}
-
-// TestRunCompiledSetEquivalenceGeneratedCorpus checks the single-pass
-// multi-system walk on the generated corpus: batching all six systems over
-// one shared compiled trace — on runtimes dirtied by prior sequential runs
-// — must reproduce the sequential fresh-run results exactly.
-func TestRunCompiledSetEquivalenceGeneratedCorpus(t *testing.T) {
-	opts := sim.Options{HistogramBucket: 50_000, Timeline: true}
-	for seed := int64(0); seed < reuseSeeds; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		is := oracle.GenHardware(r)
-		tr := oracle.GenWorkload(r, is)
-		acs := oracle.GenNumACs(r)
-		ct, err := workload.Compile(tr, is)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rts := make([]sim.Runtime, len(oracle.Systems))
-		want := make([]*sim.Result, len(oracle.Systems))
-		got := make([]*sim.Result, len(oracle.Systems))
-		for i, sys := range oracle.Systems {
-			rts[i] = newRuntime(t, sys, is, acs, tr)
-			want[i], got[i] = new(sim.Result), new(sim.Result)
-			if err := sim.RunCompiled(context.Background(), ct, rts[i], opts, want[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sim.RunCompiledSet(context.Background(), ct, rts, opts, got); err != nil {
-			t.Fatal(err)
-		}
-		for i, sys := range oracle.Systems {
-			if err := oracle.DiffResults(want[i], got[i]); err != nil {
-				t.Errorf("seed %d, system %s, %d ACs: %v", seed, sys, acs, err)
 			}
 		}
 	}

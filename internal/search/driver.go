@@ -20,8 +20,8 @@ type Config struct {
 	// included — an observation is an observation). Must be positive.
 	Budget int
 	// BatchSize caps the points proposed per round (0: 16). Batches run
-	// through the engine's grouped RunSet path, so points of one batch
-	// that differ only in scheduler share a single trace walk.
+	// through Engine.ExecutePoints like any sweep: RunSet grouping and the
+	// result cache apply to each batch.
 	BatchSize int
 	// Stream, when non-nil, receives every evaluated record as JSONL in
 	// visit order — the same bytes a grid sweep of exactly the visited

@@ -1,9 +1,9 @@
 // Package search drives adaptive multi-objective design-space search over
 // the exploration engine of internal/explore: instead of enumerating a
 // grid, a seeded Strategy proposes small batches of design points, a
-// Driver evaluates them through the engine's grouped RunSet path under an
-// evaluation budget, and an incremental cycles-vs-area Pareto front (area
-// priced by internal/hwmodel) guides the next proposals.
+// Driver evaluates them through the engine under an evaluation budget, and
+// an incremental cycles-vs-area Pareto front (area priced by
+// internal/hwmodel) guides the next proposals.
 //
 // Everything is deterministic: strategies derive all randomness from one
 // seed, batches are proposed and evaluated in canonical order, and the

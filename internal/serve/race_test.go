@@ -1,5 +1,5 @@
 // Race stress of the runtime pool: concurrent /v1/simulate requests and
-// explore.Engine sweeps — batched through the single-pass RunSet path —
+// explore.Engine sweeps — grouped through the engine's RunSet hook —
 // hammer one shared rispp.Runner, checking every concurrent measurement
 // against a sequential baseline. Run under -race (the CI race job does).
 package serve
@@ -68,7 +68,7 @@ func TestSimulateAndEngineSweepShareRunnerRaceFree(t *testing.T) {
 		}(g)
 	}
 	// The other half: engine sweeps on the server's own Runner, through the
-	// batched single-pass path (scheduler groups share one trace walk).
+	// grouped RunSet path (one call per scheduler group).
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {

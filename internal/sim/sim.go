@@ -290,62 +290,6 @@ func RunCompiled(ctx context.Context, ct *workload.Compiled, rt Runtime, opts Op
 	return err
 }
 
-// maxInlineSet is the runtime count up to which RunCompiledSet runs without
-// allocating its runner table (the six paper systems fit).
-const maxInlineSet = 8
-
-// RunCompiledSet simulates one compiled trace against several run-time
-// systems in a single pass: the trace is walked once, phase by phase, with
-// every runtime executing each phase in turn before the walk moves on. The
-// runtimes are independent, so each results[i] is field-exact identical to
-// a sequential RunCompiled(ctx, ct, rts[i], opts, results[i]) — the batch
-// form only shares the walk (hot compiled-trace data stays cached across
-// systems, the per-point overhead is paid once per grid point instead of
-// once per system).
-//
-// Every runtime is Reset first and results[i] receives rts[i]'s run.
-// Options apply to all systems; Journal is not supported (the N interleaved
-// event streams would be unusable) and returns an error. On error the
-// results hold partial state and must not be interpreted.
-func RunCompiledSet(ctx context.Context, ct *workload.Compiled, rts []Runtime, opts Options, results []*Result) error {
-	if opts.Journal != nil {
-		return fmt.Errorf("sim: RunCompiledSet does not support a journal; run the systems individually")
-	}
-	if len(rts) != len(results) {
-		return fmt.Errorf("sim: RunCompiledSet got %d runtimes but %d results", len(rts), len(results))
-	}
-	var buf [maxInlineSet]runner
-	var runners []runner
-	if len(rts) <= maxInlineSet {
-		runners = buf[:len(rts)]
-	} else {
-		runners = make([]runner, len(rts))
-	}
-	done := ctx.Done()
-	for i, rt := range rts {
-		rt.Reset()
-		results[i].reset(rt.Name(), ct.NumSIs, len(ct.Phases), opts)
-		runners[i] = runner{
-			ctx:       ctx,
-			done:      done,
-			rt:        rt,
-			res:       results[i],
-			maxCycles: opts.MaxCycles,
-		}
-	}
-	for pi := range ct.Phases {
-		for i := range runners {
-			if err := runners[i].runPhase(ct, pi); err != nil {
-				return err
-			}
-		}
-	}
-	for i := range runners {
-		results[i].TotalCycles = runners[i].now
-	}
-	return nil
-}
-
 // runner is the per-run simulator state; it lives on the stack of
 // RunCompiled so the steady-state run path allocates nothing.
 type runner struct {
@@ -421,10 +365,8 @@ func (r *runner) run(ct *workload.Compiled) error {
 	return nil
 }
 
-// runPhase executes one hot-spot phase of the compiled trace. It is the
-// unit of interleaving for RunCompiledSet: runtimes are independent, so
-// executing phase pi for each runtime in turn produces results identical to
-// full sequential runs.
+// runPhase executes one hot-spot phase of the compiled trace; a resumed
+// run (ResumeCompiled) enters the phase loop mid-trace through it.
 func (r *runner) runPhase(ct *workload.Compiled, pi int) error {
 	rt, res := r.rt, r.res
 	if r.canceled() {

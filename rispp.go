@@ -88,10 +88,11 @@ type Config struct {
 	Collect sim.Options
 
 	// DisableDelta turns off delta-resimulation in Runner-based paths
-	// (RunPoint/RunPointSet/Explorer): every point then simulates from
-	// power-on even when a recorded checkpoint trail could serve it.
-	// Results are identical either way; the knob exists for benchmarking
-	// the raw simulator and for tests that pin runtime-pool behavior.
+	// (RunPoint and everything built on it: the engine adapters, Explorer,
+	// the serving layer): every point then simulates from power-on even
+	// when a recorded checkpoint trail could serve it. Results are
+	// identical either way; the knob exists for benchmarking the raw
+	// simulator and for tests that pin runtime-pool behavior.
 	DisableDelta bool
 
 	// TrailDir, when non-empty, persists completed delta-resimulation
@@ -383,17 +384,18 @@ func persistKey(cfg *Config, key workKey) string {
 		key.knobs.Seed, key.knobs.MotionVariability, key.knobs.SceneChangeFrame)
 }
 
-// RuntimePoolStats reports how often a RunPoint/RunPointSet runtime request
-// was served from the pool (hit) versus built fresh (miss). With the pool
-// disabled (base.Bus set) every request counts as a miss. Points served
-// entirely from a checkpoint trail never request a runtime and therefore
-// count as neither.
+// RuntimePoolStats reports how often a RunPoint runtime request was served
+// from the pool (hit) versus built fresh (miss). With the pool disabled
+// (base.Bus set) every request counts as a miss. Points served entirely
+// from a checkpoint trail never request a runtime and therefore count as
+// neither; with delta-resimulation on, a repeated point is such a serve,
+// so hits come mostly from DisableDelta and histogram/timeline runs.
 func (r *Runner) RuntimePoolStats() (hits, misses int64) {
 	return r.poolHits.Load(), r.poolMisses.Load()
 }
 
-// DeltaStats reports how RunPoint/RunPointSet requests were satisfied by
-// the delta-resimulation layer: serves completed without simulating at all
+// DeltaStats reports how RunPoint requests were satisfied by the
+// delta-resimulation layer: serves completed without simulating at all
 // (a recorded trail transferred end to end), resumes re-simulated only a
 // suffix of the trace, and records simulated from power-on while recording
 // a new trail. Requests with delta off (DisableDelta, ineligible Collect
@@ -680,101 +682,33 @@ func (r *Runner) RunPoint(ctx context.Context, p explore.Point, collect sim.Opti
 	return err
 }
 
-// RunPointSet simulates several design points that share one workload in a
-// single pass over the compiled trace (sim.RunCompiledSet): the trace is
-// walked once and every runtime advances through it phase by phase. The
-// points may differ in scheduler, #ACs, forecast seeding, and prefetching,
-// but must agree on the workload knobs; results[i] receives point ps[i].
-// Each result is field-exact identical to a RunPoint of the same point.
-func (r *Runner) RunPointSet(ctx context.Context, ps []explore.Point, collect sim.Options, results []*sim.Result) error {
-	if len(ps) != len(results) {
-		return fmt.Errorf("rispp: RunPointSet got %d points but %d results", len(ps), len(results))
-	}
-	if len(ps) == 0 {
-		return nil
-	}
-	cfg0, key0, err0 := r.pointConfig(ps[0], collect)
-	if err0 != nil {
-		return err0
-	}
-	if r.deltaOn(&cfg0) {
-		// Delta split: each point either full-skips from a recorded trail,
-		// resumes a prefix, or records a new trail. After the first pass
-		// over a budget grid the grouped walk below would simulate nothing
-		// anyway, so delta-eligible sets run point-wise.
-		ct, err := r.compile(&cfg0, key0)
-		if err != nil {
-			return err
-		}
-		for i, p := range ps {
-			if i > 0 {
-				if p0 := ps[0]; p.Frames != p0.Frames || p.Seed != p0.Seed ||
-					p.Motion != p0.Motion || p.SceneChange != p0.SceneChange ||
-					p.Scenario != p0.Scenario {
-					return fmt.Errorf("rispp: RunPointSet points disagree on workload knobs: %s vs %s", p0.Key(), p.Key())
-				}
-			}
-			cfg, key, err := r.pointConfig(p, collect)
-			if err != nil {
-				return err
-			}
-			if err := r.runPointDelta(ctx, &cfg, key, ct, results[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	rts := make([]sim.Runtime, len(ps))
-	pools := make([]*runtimePool, len(ps))
-	var ct *workload.Compiled
-	for i, p := range ps {
-		cfg, key, err := r.pointConfig(p, collect)
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			if ct, err = r.compile(&cfg, key); err != nil {
-				return err
-			}
-		} else if p0 := ps[0]; p.Frames != p0.Frames || p.Seed != p0.Seed ||
-			p.Motion != p0.Motion || p.SceneChange != p0.SceneChange ||
-			p.Scenario != p0.Scenario {
-			return fmt.Errorf("rispp: RunPointSet points disagree on workload knobs: %s vs %s", p0.Key(), p.Key())
-		}
-		rt, pool, err := r.runtime(&cfg, runtimeKey{
-			scheduler:     cfg.Scheduler,
-			numACs:        cfg.NumACs,
-			seedForecasts: cfg.SeedForecasts,
-			prefetch:      cfg.Prefetch,
-			work:          key,
-		})
-		if err != nil {
-			for j := 0; j < i; j++ {
-				r.putRuntime(pools[j], rts[j])
-			}
-			return err
-		}
-		rts[i], pools[i] = rt, pool
-	}
-	err := sim.RunCompiledSet(ctx, ct, rts, collect, results)
-	for i := range rts {
-		r.putRuntime(pools[i], rts[i])
-	}
-	return err
-}
-
 // Explorer wires the design-space exploration engine of internal/explore to
 // this library: every explore.Point is materialized as a Config and
 // simulated on a bounded worker pool, through a shared Runner (see Runner
-// for the workload semantics and the scratch-sharing guarantees). Points
-// that differ only in their scheduler are batched into a single pass over
-// the shared compiled trace (Runner.RunPointSet).
+// for the workload semantics and the scratch-sharing guarantees). The
+// engine's RunSet hook is wired too, so the points of one scheduler group
+// reach a worker together; the Runner runs them one after another, exactly
+// as it runs single points.
 func Explorer(base Config, workers int, cache *explore.Cache) *explore.Engine {
+	return explorer(base, workers, cache, false)
+}
+
+// CheckedExplorer is Explorer with every simulated point validated by the
+// reference oracle (internal/oracle.Check): conservation of executions,
+// phase structure, the exact cycle identity, and the software upper bound.
+// A point that simulates but violates an invariant comes back as an error
+// rather than a silently wrong metric — the mode adaptive search uses, so
+// a guided optimizer can never exploit a simulator bug.
+func CheckedExplorer(base Config, workers int, cache *explore.Cache) *explore.Engine {
+	return explorer(base, workers, cache, true)
+}
+
+func explorer(base Config, workers int, cache *explore.Cache, check bool) *explore.Engine {
 	rn := NewRunner(base)
 	eng := &explore.Engine{
 		Workers: workers,
-		Run:     rn.EngineRun(),
-		RunSet:  rn.EngineRunSet(),
+		Run:     rn.engineRun(check),
+		RunSet:  rn.engineRunSet(check),
 	}
 	if cache != nil { // avoid a typed-nil Store interface
 		eng.Cache = cache
@@ -785,140 +719,62 @@ func Explorer(base Config, workers int, cache *explore.Cache) *explore.Engine {
 // EngineRun adapts the Runner to the exploration engine's job signature:
 // each call runs the point into a pooled Result and condenses it to
 // explore.Metrics.
-func (r *Runner) EngineRun() explore.RunFunc {
+func (r *Runner) EngineRun() explore.RunFunc { return r.engineRun(false) }
+
+// EngineRunSet adapts the Runner to the engine's grouped signature: the
+// points of one scheduler group run one after another, each exactly as
+// EngineRun would run it.
+func (r *Runner) EngineRunSet() explore.RunSetFunc { return r.engineRunSet(false) }
+
+func (r *Runner) engineRun(check bool) explore.RunFunc {
 	return func(ctx context.Context, p explore.Point) (explore.Metrics, error) {
-		res := r.GetResult()
-		defer r.PutResult(res)
-		if err := r.RunPoint(ctx, p, r.base.Collect, res); err != nil {
-			return explore.Metrics{}, err
-		}
-		return explore.Metrics{
-			TotalCycles:  res.TotalCycles,
-			StallCycles:  res.StallCycles,
-			SWExecutions: res.TotalSWExecutions(),
-			HWExecutions: res.TotalHWExecutions(),
-		}, nil
+		return r.runMetrics(ctx, p, check)
 	}
 }
 
-// EngineRunSet adapts Runner.RunPointSet to the engine's batched signature:
-// the points of one scheduler group run in a single pass over their shared
-// compiled trace, into pooled Results condensed to explore.Metrics.
-func (r *Runner) EngineRunSet() explore.RunSetFunc {
+func (r *Runner) engineRunSet(check bool) explore.RunSetFunc {
 	return func(ctx context.Context, ps []explore.Point) ([]explore.Metrics, error) {
-		results := make([]*sim.Result, len(ps))
-		for i := range results {
-			results[i] = r.GetResult()
-		}
-		defer func() {
-			for _, res := range results {
-				r.PutResult(res)
-			}
-		}()
-		if err := r.RunPointSet(ctx, ps, r.base.Collect, results); err != nil {
-			return nil, err
-		}
 		ms := make([]explore.Metrics, len(ps))
-		for i, res := range results {
-			ms[i] = explore.Metrics{
-				TotalCycles:  res.TotalCycles,
-				StallCycles:  res.StallCycles,
-				SWExecutions: res.TotalSWExecutions(),
-				HWExecutions: res.TotalHWExecutions(),
-			}
-		}
-		return ms, nil
-	}
-}
-
-// CheckedExplorer is Explorer with every simulated point validated by the
-// reference oracle (internal/oracle.Check): conservation of executions,
-// phase structure, the exact cycle identity, and the software upper bound.
-// A point that simulates but violates an invariant comes back as an error
-// rather than a silently wrong metric — the mode adaptive search uses, so
-// a guided optimizer can never exploit a simulator bug.
-func CheckedExplorer(base Config, workers int, cache *explore.Cache) *explore.Engine {
-	rn := NewRunner(base)
-	eng := &explore.Engine{
-		Workers: workers,
-		Run:     rn.CheckedEngineRun(),
-		RunSet:  rn.CheckedEngineRunSet(),
-	}
-	if cache != nil { // avoid a typed-nil Store interface
-		eng.Cache = cache
-	}
-	return eng
-}
-
-// check validates res for point p against the oracle invariants. The trace
-// comes from the compile memo, so the only added cost is the oracle's
-// linear walk over the result.
-func (r *Runner) check(p explore.Point, res *sim.Result) error {
-	cfg, key, err := r.pointConfig(p, r.base.Collect)
-	if err != nil {
-		return err
-	}
-	ct, err := r.compile(&cfg, key)
-	if err != nil {
-		return err
-	}
-	if err := oracle.Check(ct.Trace, cfg.ISA, res); err != nil {
-		return fmt.Errorf("rispp: point %s: %w", p.Key(), err)
-	}
-	return nil
-}
-
-// CheckedEngineRun is EngineRun followed by the oracle invariant checker
-// on every result.
-func (r *Runner) CheckedEngineRun() explore.RunFunc {
-	return func(ctx context.Context, p explore.Point) (explore.Metrics, error) {
-		res := r.GetResult()
-		defer r.PutResult(res)
-		if err := r.RunPoint(ctx, p, r.base.Collect, res); err != nil {
-			return explore.Metrics{}, err
-		}
-		if err := r.check(p, res); err != nil {
-			return explore.Metrics{}, err
-		}
-		return explore.Metrics{
-			TotalCycles:  res.TotalCycles,
-			StallCycles:  res.StallCycles,
-			SWExecutions: res.TotalSWExecutions(),
-			HWExecutions: res.TotalHWExecutions(),
-		}, nil
-	}
-}
-
-// CheckedEngineRunSet is EngineRunSet followed by the oracle invariant
-// checker on every result of the batch.
-func (r *Runner) CheckedEngineRunSet() explore.RunSetFunc {
-	return func(ctx context.Context, ps []explore.Point) ([]explore.Metrics, error) {
-		results := make([]*sim.Result, len(ps))
-		for i := range results {
-			results[i] = r.GetResult()
-		}
-		defer func() {
-			for _, res := range results {
-				r.PutResult(res)
-			}
-		}()
-		if err := r.RunPointSet(ctx, ps, r.base.Collect, results); err != nil {
-			return nil, err
-		}
-		ms := make([]explore.Metrics, len(ps))
-		for i, res := range results {
-			if err := r.check(ps[i], res); err != nil {
+		for i, p := range ps {
+			m, err := r.runMetrics(ctx, p, check)
+			if err != nil {
 				return nil, err
 			}
-			ms[i] = explore.Metrics{
-				TotalCycles:  res.TotalCycles,
-				StallCycles:  res.StallCycles,
-				SWExecutions: res.TotalSWExecutions(),
-				HWExecutions: res.TotalHWExecutions(),
-			}
+			ms[i] = m
 		}
 		return ms, nil
 	}
+}
+
+// runMetrics runs point p into a pooled Result and condenses it to
+// explore.Metrics; with check set, the Result must first pass the oracle
+// invariants. The trace for the check comes from the compile memo, so the
+// only added cost is the oracle's linear walk over the result.
+func (r *Runner) runMetrics(ctx context.Context, p explore.Point, check bool) (explore.Metrics, error) {
+	res := r.GetResult()
+	defer r.PutResult(res)
+	if err := r.RunPoint(ctx, p, r.base.Collect, res); err != nil {
+		return explore.Metrics{}, err
+	}
+	if check {
+		cfg, key, err := r.pointConfig(p, r.base.Collect)
+		if err != nil {
+			return explore.Metrics{}, err
+		}
+		ct, err := r.compile(&cfg, key)
+		if err != nil {
+			return explore.Metrics{}, err
+		}
+		if err := oracle.Check(ct.Trace, cfg.ISA, res); err != nil {
+			return explore.Metrics{}, fmt.Errorf("rispp: point %s: %w", p.Key(), err)
+		}
+	}
+	return explore.Metrics{
+		TotalCycles:  res.TotalCycles,
+		StallCycles:  res.StallCycles,
+		SWExecutions: res.TotalSWExecutions(),
+		HWExecutions: res.TotalHWExecutions(),
+	}, nil
 }
 
 // Sweep runs the given schedulers over a range of Atom Container counts

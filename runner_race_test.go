@@ -96,14 +96,13 @@ func TestRunnerConcurrentUseIsRaceFreeAndDeterministic(t *testing.T) {
 
 // TestRuntimePoolConcurrentUseIsRaceFreeAndDeterministic hammers the
 // runtime pool of one shared Runner from many goroutines, half via RunPoint
-// (one pooled runtime at a time) and half via RunPointSet (a whole
-// scheduler group of pooled runtimes held simultaneously for a single-pass
-// walk), checking every result against a sequential baseline. Run under
+// and half via EngineRunSet (whole scheduler groups, the engine's grouped
+// dispatch), checking every result against a sequential baseline. Run under
 // -race; cheap enough for -short.
 func TestRuntimePoolConcurrentUseIsRaceFreeAndDeterministic(t *testing.T) {
 	pts := racePoints()
-	// Group the points the way the exploration engine would: same knobs,
-	// different scheduler/ACs → one RunPointSet batch per frame count.
+	// Group the points by workload knobs: one EngineRunSet call per frame
+	// count, mixing schedulers and budgets.
 	groups := map[int][]explore.Point{}
 	for _, p := range pts {
 		groups[p.Frames] = append(groups[p.Frames], p)
@@ -125,6 +124,7 @@ func TestRuntimePoolConcurrentUseIsRaceFreeAndDeterministic(t *testing.T) {
 	// requesting runtimes; disable it so this stress keeps hammering the
 	// pool itself (TestDeltaTrailConcurrentUse covers the delta layer).
 	shared := NewRunner(Config{DisableDelta: true})
+	runSet := shared.EngineRunSet()
 	const goroutines = 8
 	const rounds = 3
 	var wg sync.WaitGroup
@@ -150,21 +150,17 @@ func TestRuntimePoolConcurrentUseIsRaceFreeAndDeterministic(t *testing.T) {
 					continue
 				}
 				for _, ps := range groups {
-					results := make([]*sim.Result, len(ps))
-					for i := range results {
-						results[i] = shared.GetResult()
-					}
-					if err := shared.RunPointSet(context.Background(), ps, sim.Options{}, results); err != nil {
+					ms, err := runSet(context.Background(), ps)
+					if err != nil {
 						t.Errorf("goroutine %d: %v", g, err)
 						return
 					}
 					for i, p := range ps {
-						if w := wantOf[p.Normalized().Key()]; results[i].TotalCycles != w {
+						if w := wantOf[p.Normalized().Key()]; ms[i].TotalCycles != w {
 							t.Errorf("goroutine %d, point %s: got %d cycles, want %d",
-								g, p.Key(), results[i].TotalCycles, w)
+								g, p.Key(), ms[i].TotalCycles, w)
 							return
 						}
-						shared.PutResult(results[i])
 					}
 				}
 			}

@@ -93,50 +93,6 @@ func TestRunPointScenarioErrors(t *testing.T) {
 	}
 }
 
-// TestRunPointSetScenario: the grouped single-pass path gives the same
-// results as point-wise runs, and refuses sets that mix workloads.
-func TestRunPointSetScenario(t *testing.T) {
-	mk := func(sched string, acs int) explore.Point {
-		return explore.Point{Scheduler: sched, NumACs: acs, Frames: 3, Seed: 1,
-			SeedForecasts: true, Scenario: "early-exit-me"}
-	}
-	ps := []explore.Point{mk("FSFR", 6), mk("HEF", 6), mk("HEF", 10), mk("Molen", 6)}
-
-	ref := NewRunner(Config{DisableDelta: true})
-	want := make([]*sim.Result, len(ps))
-	for i, p := range ps {
-		want[i] = new(sim.Result)
-		if err := ref.RunPoint(context.Background(), p, sim.Options{}, want[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// DisableDelta forces the grouped single-pass walk (the delta path
-	// degenerates to point-wise runs).
-	rn := NewRunner(Config{DisableDelta: true})
-	got := make([]*sim.Result, len(ps))
-	for i := range got {
-		got[i] = new(sim.Result)
-	}
-	if err := rn.RunPointSet(context.Background(), ps, sim.Options{}, got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range ps {
-		if got[i].TotalCycles != want[i].TotalCycles ||
-			!reflect.DeepEqual(got[i].Executions(), want[i].Executions()) {
-			t.Errorf("point %d (%s/%d): grouped result differs from point-wise",
-				i, ps[i].Scheduler, ps[i].NumACs)
-		}
-	}
-
-	mixed := []explore.Point{mk("HEF", 6), {Scheduler: "HEF", NumACs: 6, Frames: 3, Seed: 1,
-		SeedForecasts: true, Scenario: "branchy-modes"}}
-	res := []*sim.Result{new(sim.Result), new(sim.Result)}
-	if err := rn.RunPointSet(context.Background(), mixed, sim.Options{}, res); err == nil ||
-		!strings.Contains(err.Error(), "disagree on workload") {
-		t.Errorf("mixed-scenario set: err = %v", err)
-	}
-}
-
 // TestScenarioPointKeys: the scenario name participates in the content
 // address, and its absence leaves legacy keys byte-identical (so every
 // pre-existing cache entry stays valid).

@@ -24,7 +24,7 @@ func searchSpec() explore.Spec {
 // TestSearchOverSimulator runs every strategy against the real simulator
 // through the oracle-checked engine and verifies the determinism contract:
 // the journal, streamed records and front are byte-identical across runs,
-// whether points run one-by-one or through the grouped single-pass path.
+// whether points run one-by-one or through the grouped RunSet path.
 func TestSearchOverSimulator(t *testing.T) {
 	spec := searchSpec()
 	for _, strat := range search.StrategyNames() {

@@ -1,9 +1,9 @@
-// Benchmarks and equivalence tests of the sweep fast path introduced with
-// the runtime pool: BenchmarkSweep drives a paper-grid slice (all six
-// run-time systems × several AC budgets) through the grouped single-pass
-// engine path, BenchmarkSweepPerPoint drives the identical grid through the
-// pre-existing one-runtime-per-job path, so the two ns/op values measure
-// exactly the batching + pooling win.
+// Benchmarks and equivalence tests of the sweep path: BenchmarkSweep drives
+// a paper-grid slice (all six run-time systems × several AC budgets) through
+// the engine with its RunSet grouping wired, one shared Runner serving every
+// point from its trail; BenchmarkSweepResim simulates the same grid on
+// pooled runtimes; BenchmarkSweepPerPoint drives it through a fresh Runner
+// per iteration without grouping, so every point pays runtime construction.
 package rispp
 
 import (
@@ -63,10 +63,10 @@ func BenchmarkSweep(b *testing.B) {
 }
 
 // BenchmarkSweepResim is BenchmarkSweep with delta-resimulation disabled:
-// the pooled-runtime, batched single-pass walk that actually simulates
-// every point each iteration. The gap to BenchmarkSweep is what the trail
-// layer buys on repeated grids; the gap to BenchmarkSweepPerPoint is what
-// pooling+batching buy on cold ones.
+// every point of every iteration simulates on a pooled runtime, one point
+// after another. The gap to BenchmarkSweep is what the trail layer buys on
+// repeated grids; the gap to BenchmarkSweepPerPoint is what the runtime
+// pool buys on cold ones.
 func BenchmarkSweepResim(b *testing.B) {
 	rn := NewRunner(Config{DisableDelta: true})
 	eng := &explore.Engine{Workers: 1, Run: rn.EngineRun(), RunSet: rn.EngineRunSet()}
@@ -81,12 +81,12 @@ func BenchmarkSweepResim(b *testing.B) {
 	b.ReportMetric(float64(hits)/float64(hits+misses), "pool-hit-rate")
 }
 
-// BenchmarkSweepPerPoint measures the same grid through the pre-PR path:
-// no RunSet batching, and a fresh Runner per iteration so every point pays
-// runtime construction and its own walk over the compiled trace. (Each
-// grid point occurs once per iteration, so the fresh Runner's pool never
-// hits — exactly the pre-pool behavior; the one-frame trace compile the
-// fresh memo repays per iteration is noise against 24 simulations.)
+// BenchmarkSweepPerPoint measures the same grid without RunSet grouping and
+// with a fresh Runner per iteration, so every point pays runtime
+// construction. (Each grid point occurs once per iteration, so the fresh
+// Runner's pool never hits — exactly the pre-pool behavior; the one-frame
+// trace compile the fresh memo repays per iteration is noise against 24
+// simulations.)
 func BenchmarkSweepPerPoint(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -97,69 +97,69 @@ func BenchmarkSweepPerPoint(b *testing.B) {
 	}
 }
 
-// TestSweepGroupedMatchesPerPoint pins the tentpole's behavioral
-// invisibility at the engine level: the grouped single-pass path must
-// produce record-identical output to the per-point path.
+// TestSweepGroupedMatchesPerPoint pins that the engine's RunSet grouping is
+// invisible in the output: a grouped sweep must produce record-identical
+// output to the per-point path, cold and again once the Runner is warm
+// (trails recorded, runtimes pooled). The inputs cover every way a Runner
+// runs a point — delta-resimulation on and off, artifact collection that
+// bypasses the trail layer, a scenario workload with its own ISA — and the
+// oracle-checked engine.
 func TestSweepGroupedMatchesPerPoint(t *testing.T) {
-	spec := sweepSpec()
-	per := NewRunner(Config{})
-	perEng := &explore.Engine{Workers: 2, Run: per.EngineRun()}
-	want, err := perEng.Execute(context.Background(), spec, nil)
-	if err != nil {
-		t.Fatal(err)
+	scenarioSpec := explore.Spec{
+		Schedulers:    []string{"FSFR", "HEF", "Molen"},
+		ACs:           []int{6, 10},
+		Frames:        []int{3},
+		Seeds:         []int64{1},
+		SeedForecasts: []bool{true},
+		Scenarios:     []string{"early-exit-me"},
 	}
-	grp := NewRunner(Config{})
-	grpEng := &explore.Engine{Workers: 2, Run: grp.EngineRun(), RunSet: grp.EngineRunSet()}
-	got, err := grpEng.Execute(context.Background(), spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.Records, got.Records) {
-		t.Errorf("grouped sweep records differ from per-point records:\nwant %+v\ngot  %+v", want.Records, got.Records)
-	}
-}
-
-// TestRunPointSetMatchesRunPoint checks the Runner-level contract: a batch
-// run yields field-exact the same Results as point-by-point runs.
-func TestRunPointSetMatchesRunPoint(t *testing.T) {
-	rn := NewRunner(Config{})
-	ps := []explore.Point{
-		{Scheduler: "HEF", NumACs: 10, Frames: 2, SeedForecasts: true},
-		{Scheduler: "FSFR", NumACs: 5, Frames: 2, SeedForecasts: true},
-		{Scheduler: "Molen", NumACs: 10, Frames: 2, SeedForecasts: true},
-		{Scheduler: "software", Frames: 2},
-	}
-	collect := sim.Options{HistogramBucket: 100_000, Timeline: true}
-	want := make([]*sim.Result, len(ps))
-	for i, p := range ps {
-		want[i] = new(sim.Result)
-		if err := rn.RunPoint(context.Background(), p, collect, want[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := make([]*sim.Result, len(ps))
-	for i := range got {
-		got[i] = new(sim.Result)
-	}
-	if err := rn.RunPointSet(context.Background(), ps, collect, got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range ps {
-		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Errorf("point %s: RunPointSet result differs from RunPoint", ps[i].Key())
-		}
-	}
-}
-
-func TestRunPointSetRejectsMixedWorkloads(t *testing.T) {
-	rn := NewRunner(Config{})
-	ps := []explore.Point{
-		{Scheduler: "HEF", NumACs: 10, Frames: 1},
-		{Scheduler: "ASF", NumACs: 10, Frames: 2},
-	}
-	res := []*sim.Result{new(sim.Result), new(sim.Result)}
-	if err := rn.RunPointSet(context.Background(), ps, sim.Options{}, res); err == nil {
-		t.Fatal("RunPointSet accepted points with different workload knobs")
+	for _, tc := range []struct {
+		name    string
+		base    Config
+		spec    explore.Spec
+		checked bool
+	}{
+		{name: "delta", spec: sweepSpec()},
+		{name: "no-delta", base: Config{DisableDelta: true}, spec: sweepSpec()},
+		{name: "collect", base: Config{Collect: sim.Options{HistogramBucket: 100_000, Timeline: true}}, spec: sweepSpec()},
+		{name: "scenario", spec: scenarioSpec},
+		{name: "checked", spec: sweepSpec(), checked: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			engine := func(grouped bool) *explore.Engine {
+				if tc.checked {
+					eng := CheckedExplorer(tc.base, 2, nil)
+					if !grouped {
+						eng.RunSet = nil
+					}
+					return eng
+				}
+				rn := NewRunner(tc.base)
+				eng := &explore.Engine{Workers: 2, Run: rn.EngineRun()}
+				if grouped {
+					eng.RunSet = rn.EngineRunSet()
+				}
+				return eng
+			}
+			want, err := engine(false).Execute(context.Background(), tc.spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := want.FirstErr(); err != nil {
+				t.Fatal(err)
+			}
+			grpEng := engine(true)
+			for pass := 0; pass < 2; pass++ {
+				got, err := grpEng.Execute(context.Background(), tc.spec, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want.Records, got.Records) {
+					t.Errorf("pass %d: grouped sweep records differ from per-point records:\nwant %+v\ngot  %+v",
+						pass, want.Records, got.Records)
+				}
+			}
+		})
 	}
 }
 
