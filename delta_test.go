@@ -110,14 +110,19 @@ func TestDeltaDisabledForIneligibleCollect(t *testing.T) {
 }
 
 // TestDeltaTrailConcurrentUse shares one delta-enabled Runner between
-// serve-style point traffic and grouped sweeps, all budgets racing on the
-// same trail sets, and checks every result against a per-goroutine
-// reference from a delta-disabled Runner. Run under -race: it exercises
-// concurrent trail recording (first-wins store), lock-free serving from
-// immutable trails, and prefix-sharing resumes.
+// serve-style point traffic and grouped sweeps, all budgets and two frame
+// counts racing on the same trail sets, and checks every result against a
+// per-goroutine reference from a delta-disabled Runner. Run under -race: it
+// exercises concurrent trail recording (first-wins store), lock-free
+// serving from immutable trails, prefix-sharing resumes, and extensions of
+// 1-frame trails to the 2-frame trace while both are being stored.
 func TestDeltaTrailConcurrentUse(t *testing.T) {
 	pts := deltaGrid()
-	groups := map[string][]explore.Point{}
+	for _, p := range deltaGrid() {
+		p.Frames = 2
+		pts = append(pts, p)
+	}
+	groups := map[string][]explore.Point{} // each scheduler's family, 1 frame first
 	for _, p := range pts {
 		groups[p.Scheduler] = append(groups[p.Scheduler], p)
 	}

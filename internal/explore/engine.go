@@ -51,23 +51,29 @@ func (r Record) OK() bool { return r.Err == "" }
 // goroutines; implementations must not share mutable state across calls.
 type RunFunc func(ctx context.Context, p Point) (Metrics, error)
 
-// RunSetFunc simulates a batch of design points that share one workload and
-// differ only in their run-time system (scheduler), returning one Metrics
-// per point in input order. The engine calls it from multiple goroutines.
+// RunSetFunc simulates a batch of design points of one workload family —
+// points equal except in their run-time system (Scheduler) and trace length
+// (Frames) — returning one Metrics per point in input order. The engine
+// passes each scheduler's points contiguously in ascending Frames, so an
+// implementation that runs them in order can resume a longer trace from the
+// shorter sibling it has just simulated. The engine calls it from multiple
+// goroutines.
 type RunSetFunc func(ctx context.Context, ps []Point) ([]Metrics, error)
 
 // Engine executes sweep specs on a bounded worker pool.
 type Engine struct {
 	// Run simulates one point (required).
 	Run RunFunc
-	// RunSet, when non-nil, batches the points of each scheduler group —
-	// points identical except for Point.Scheduler — into one call, so one
-	// worker runs a grid point's systems back to back (rispp.Runner's
-	// RunSet runs them one after another, exactly as Run would). Workers
-	// then operate on groups instead of single points; records, their
-	// order, and the cache behavior are unchanged. Cached points are
-	// excluded from the batch; a RunSet error fails every uncached point
-	// of its group.
+	// RunSet, when non-nil, batches the points of each workload family —
+	// points identical except for Point.Scheduler and Point.Frames — into
+	// one call, ordered by scheduler and then ascending Frames (see
+	// RunSetFunc). One worker thus runs a family's systems and trace
+	// lengths back to back, and rispp.Runner's RunSet resumes each longer
+	// trace from the trail of its shorter sibling instead of simulating it
+	// from power-on. Workers then operate on groups instead of single
+	// points; records, their order, and the cache behavior are unchanged.
+	// Cached points are excluded from the batch; a RunSet error fails every
+	// uncached point of its group.
 	RunSet RunSetFunc
 	// Workers bounds the pool; <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
@@ -191,7 +197,8 @@ func (e *Engine) ExecutePoints(ctx context.Context, jobs []Point, w io.Writer) (
 
 	// The unit of worker dispatch is a group of job indices. Without RunSet
 	// every job is its own group; with RunSet, jobs that differ only in
-	// their scheduler form one group and go to RunSet in one call.
+	// their scheduler and frame count form one group (a workload family)
+	// and go to RunSet in one call, in familyOrder.
 	groups := make([][]int, 0, len(jobs))
 	if e.RunSet == nil {
 		for i := range jobs {
@@ -200,7 +207,7 @@ func (e *Engine) ExecutePoints(ctx context.Context, jobs []Point, w io.Writer) (
 	} else {
 		byKey := make(map[string]int, len(jobs))
 		for i, p := range jobs {
-			p.Scheduler = ""
+			p.Scheduler, p.Frames = "", 0
 			k := p.Key()
 			gi, ok := byKey[k]
 			if !ok {
@@ -209,6 +216,9 @@ func (e *Engine) ExecutePoints(ctx context.Context, jobs []Point, w io.Writer) (
 				groups = append(groups, nil)
 			}
 			groups[gi] = append(groups[gi], i)
+		}
+		for _, g := range groups {
+			familyOrder(jobs, g)
 		}
 	}
 	if workers > len(groups) {
@@ -261,6 +271,28 @@ func (e *Engine) ExecutePoints(ctx context.Context, jobs []Point, w io.Writer) (
 	return res, writeErr
 }
 
+// familyOrder sorts a group's job indices in place by scheduler, then
+// ascending Frames, then job order — so each scheduler's points are
+// contiguous and every shorter trace runs before the longer ones that
+// extend it. Groups are small; an insertion sort keeps this allocation-free.
+func familyOrder(jobs []Point, g []int) {
+	less := func(a, b int) bool {
+		pa, pb := &jobs[a], &jobs[b]
+		if pa.Scheduler != pb.Scheduler {
+			return pa.Scheduler < pb.Scheduler
+		}
+		if pa.Frames != pb.Frames {
+			return pa.Frames < pb.Frames
+		}
+		return a < b
+	}
+	for i := 1; i < len(g); i++ {
+		for j := i; j > 0 && less(g[j], g[j-1]); j-- {
+			g[j], g[j-1] = g[j-1], g[j]
+		}
+	}
+}
+
 // runJob measures one point: cache lookup, guarded simulation, cache fill.
 // A panicking RunFunc fails only its own job. A failing cache write does not
 // fail the job either — the measurement is sound and is surfaced exactly
@@ -293,7 +325,7 @@ func (e *Engine) runJob(ctx context.Context, p Point) (rec Record) {
 	return rec
 }
 
-// runGroup measures a scheduler group in one RunSet call. Cache lookups,
+// runGroup measures a workload family in one RunSet call. Cache lookups,
 // cancellation, and cache fills match runJob point-for-point; only the
 // call into the backend is batched. An error (or panic) in RunSet fails every
 // point that was in the batch.

@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"os"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -316,6 +318,71 @@ func TestCacheRejectsCorruptAndForeignEntries(t *testing.T) {
 	cache.WriteOnly = true
 	if _, ok := cache.Get(p); ok {
 		t.Fatal("WriteOnly cache returned a hit")
+	}
+}
+
+// TestRunSetGroupsWorkloadFamilies pins the grouped dispatch: each RunSet
+// call gets one workload family — points equal except in Scheduler and
+// Frames — with each scheduler's points contiguous and in ascending Frames
+// even when the spec lists frame counts out of order; records match the
+// per-point path exactly.
+func TestRunSetGroupsWorkloadFamilies(t *testing.T) {
+	spec := Spec{
+		Schedulers: []string{"HEF", "ASF", "Molen"},
+		ACs:        []int{5, 10},
+		Frames:     []int{140, 2, 120},
+		Seeds:      []int64{0, 1},
+	}
+	want, err := (&Engine{Run: fakeRun(nil), Workers: 2}).Execute(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		calls [][]Point
+	)
+	eng := &Engine{Run: fakeRun(nil), Workers: 2}
+	eng.RunSet = func(ctx context.Context, ps []Point) ([]Metrics, error) {
+		mu.Lock()
+		calls = append(calls, append([]Point(nil), ps...))
+		mu.Unlock()
+		ms := make([]Metrics, len(ps))
+		for i, p := range ps {
+			ms[i], _ = fakeRun(nil)(ctx, p)
+		}
+		return ms, nil
+	}
+	got, err := eng.Execute(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Records, want.Records) {
+		t.Error("grouped records differ from per-point records")
+	}
+	if len(calls) != 4 { // ACs × seeds
+		t.Fatalf("%d RunSet calls, want 4 (one per AC budget and seed)", len(calls))
+	}
+	for _, ps := range calls {
+		if len(ps) != 9 {
+			t.Fatalf("group of %d points, want 9 (3 schedulers × 3 frame counts)", len(ps))
+		}
+		family := func(p Point) Point { p.Scheduler, p.Frames = "", 0; return p }
+		done := map[string]bool{}
+		for i, p := range ps {
+			if family(p) != family(ps[0]) {
+				t.Fatalf("group mixes families: %+v and %+v", ps[0], p)
+			}
+			if i == 0 || p.Scheduler != ps[i-1].Scheduler {
+				if done[p.Scheduler] {
+					t.Fatalf("scheduler %s is not contiguous in %+v", p.Scheduler, ps)
+				}
+				done[p.Scheduler] = true
+				continue
+			}
+			if p.Frames <= ps[i-1].Frames {
+				t.Fatalf("frames not ascending within %s: %+v", p.Scheduler, ps)
+			}
+		}
 	}
 }
 

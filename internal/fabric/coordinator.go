@@ -254,6 +254,12 @@ func (c *Coordinator) Sweep(ctx context.Context, points []explore.Point, opt Swe
 		if st.emitErr != nil {
 			return st.emitErr
 		}
+		// A cancel that lands mid-round returns every shard unfinished
+		// without marking a worker dead, which the stall check below would
+		// misreport; the caller's cancel comes first.
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		if len(retry) > 0 {
 			// A round that neither completed a point nor lost a worker would
 			// re-dispatch the identical shards forever; bail out instead.

@@ -404,6 +404,28 @@ func TestSweepContextCanceled(t *testing.T) {
 	}
 }
 
+// TestSweepCancelMidRound cancels from inside the worker's handler, after
+// its shard has started, so the round always ends with every point
+// unfinished and no worker marked dead — the state the stall check also
+// sees. The sweep must report the cancel, not a stall.
+func TestSweepCancelMidRound(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w1 := fakeWorker(t, func(_ int, w http.ResponseWriter, _ []explore.Point) bool {
+		cancel()
+		return true // end the shard stream without a single record
+	})
+	defer w1.Close()
+	c := newTestCoordinator(t, w1)
+	err := c.Sweep(ctx, testPoints(t, 3), SweepOptions{Emit: func([]byte) error { return nil }})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if live := c.LiveWorkers(); live != 1 {
+		t.Errorf("live workers = %d after cancel, want 1", live)
+	}
+}
+
 func TestSweepProgress(t *testing.T) {
 	pts := testPoints(t, 0)
 	w1, w2 := fakeWorker(t, nil), fakeWorker(t, nil)

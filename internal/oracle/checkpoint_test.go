@@ -9,10 +9,12 @@ package oracle_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"rispp/internal/isa"
 	"rispp/internal/molecule"
 	"rispp/internal/oracle"
 	"rispp/internal/sched"
@@ -109,6 +111,117 @@ func TestCheckpointEquivalenceGeneratedCorpus(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCheckpointExtensionGeneratedCorpus pins delta resumes across trace
+// extensions: per seed the generated trace is cut at a random phase k, a
+// trail is recorded on the cut trace (runtime seeded from the cut trace),
+// and the full trace is resumed from it at neighboring budgets onto a
+// dirtied runtime seeded from the full trace. Every result must equal a
+// fresh run of the full trace field for field, journal bytes included.
+// Draws in which a hot spot first appears after k must be refused — their
+// forecast seeds differ — and their fallback recording run must be exact
+// too.
+func TestCheckpointExtensionGeneratedCorpus(t *testing.T) {
+	extended, refused := 0, 0
+	for seed := int64(0); seed < checkpointSeeds; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		is := oracle.GenHardware(r)
+		tr := oracle.GenWorkload(r, is)
+		acs := 1 + oracle.GenNumACs(r)
+		if len(tr.Phases) < 2 {
+			continue // no strict prefix to cut
+		}
+		k := 1 + r.Intn(len(tr.Phases)-1)
+		cut := &workload.Trace{Name: tr.Name, Phases: tr.Phases[:k]}
+		seen := map[isa.HotSpotID]bool{}
+		for _, p := range cut.Phases {
+			seen[p.HotSpot] = true
+		}
+		newSpot := false
+		for _, p := range tr.Phases[k:] {
+			newSpot = newSpot || !seen[p.HotSpot]
+		}
+		ctCut, err := workload.Compile(cut, is)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, err := workload.Compile(tr, is)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		for _, sys := range oracle.Systems {
+			trail := new(sim.Trail)
+			rt := newRuntime(t, sys, is, acs, cut).(sim.Checkpointable)
+			if err := sim.RunCompiledTrail(context.Background(), ctCut, rt,
+				sim.Options{Journal: new(bytes.Buffer)}, new(sim.Result), trail); err != nil {
+				t.Fatal(err)
+			}
+			for _, budget := range []int{acs, acs - 1, acs + 2} {
+				label := func() string {
+					return fmt.Sprintf("seed %d, system %s, cut %d/%d, budget %d (recorded at %d)",
+						seed, sys, k, len(tr.Phases), budget, acs)
+				}
+				var wantJournal, gotJournal bytes.Buffer
+				var want, got sim.Result
+				if err := sim.RunCompiled(context.Background(), ct,
+					newRuntime(t, sys, is, budget, tr),
+					sim.Options{Journal: &wantJournal}, &want); err != nil {
+					t.Fatal(err)
+				}
+				if served, _ := trail.Serve(ct, budget, sim.Options{Journal: &gotJournal}, &got); served {
+					t.Fatalf("%s: a trail served a trace it did not record", label())
+				}
+				crt := newRuntime(t, sys, is, budget, tr).(sim.Checkpointable)
+				if err := sim.RunCompiled(context.Background(), ct, crt, sim.Options{}, new(sim.Result)); err != nil {
+					t.Fatal(err)
+				}
+				rec := new(sim.Trail)
+				used, err := sim.ResumeCompiled(context.Background(), ct, crt,
+					sim.Options{Journal: &gotJournal}, &got, trail, rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case newSpot && used:
+					t.Fatalf("%s: extended although a hot spot first appears after the prefix", label())
+				case !newSpot && budget == acs && sys != "software" && !used:
+					t.Fatalf("%s: refused a verified extension at the recorded budget", label())
+				}
+				if used {
+					extended++
+				} else {
+					refused++
+					if err := sim.RunCompiledTrail(context.Background(), ct, crt,
+						sim.Options{Journal: &gotJournal}, &got, rec); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := oracle.DiffResults(&want, &got); err != nil {
+					t.Errorf("%s: %v", label(), err)
+				}
+				if !bytes.Equal(wantJournal.Bytes(), gotJournal.Bytes()) {
+					t.Errorf("%s: journal bytes differ between fresh and extended run", label())
+				}
+				var skipJournal bytes.Buffer
+				var skip sim.Result
+				if served, err := rec.Serve(ct, budget, sim.Options{Journal: &skipJournal}, &skip); err != nil || !served {
+					t.Fatalf("%s: the full trace's trail cannot serve its own budget (served=%v err=%v)", label(), served, err)
+				}
+				if err := oracle.DiffResults(&want, &skip); err != nil {
+					t.Errorf("%s (re-serve): %v", label(), err)
+				}
+				if !bytes.Equal(wantJournal.Bytes(), skipJournal.Bytes()) {
+					t.Errorf("%s (re-serve): journal bytes differ", label())
+				}
+			}
+		}
+	}
+	if extended == 0 || refused == 0 {
+		t.Errorf("corpus exercised %d extensions and %d refusals; want both", extended, refused)
+	}
+	t.Logf("%d extended resumes, %d refusals with exact fallback runs", extended, refused)
 }
 
 // TestKernelEquivalenceGeneratedCorpus pins the specialized scheduler

@@ -68,7 +68,7 @@ func TestSimulateAndEngineSweepShareRunnerRaceFree(t *testing.T) {
 		}(g)
 	}
 	// The other half: engine sweeps on the server's own Runner, through the
-	// grouped RunSet path (one call per scheduler group).
+	// grouped RunSet path (one call per workload family).
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {

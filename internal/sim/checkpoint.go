@@ -37,6 +37,16 @@
 // offsets, and a resumed run replays the byte prefix verbatim — restored
 // runs are field-exact including journal bytes, which the oracle corpus
 // pins.
+//
+// Trails also transfer along the trace axis, extend-only: a trail recorded
+// on a trace resumes a longer trace that verifiably begins with it
+// (workload.Compiled.Extends — equal phases, bursts and hot-spot sets, and
+// no hot spot first appearing after the prefix, so forecast seeds agree).
+// The recorded run's states at every boundary of the shared prefix are then
+// exactly the longer run's states, and the budget rules above apply
+// unchanged. Everything else is refused, never guessed: a same-length trace
+// that is not the recorded object, any shorter trace (no truncation
+// serves), and serve-only rungs (ImportTrail) that carry no runtime state.
 package sim
 
 import (
@@ -50,9 +60,15 @@ import (
 // Checkpointable is a Runtime that supports delta-resimulation: saving and
 // restoring its complete mutable state at phase boundaries, and reporting
 // how the run so far depended on the container budget. States are opaque
-// (NewState/SaveState/RestoreFrom use the runtime's own concrete type) and
-// transfer between runtimes whose configuration differs only in the
-// container budget.
+// (NewState/SaveState/RestoreFrom use the runtime's own concrete type).
+//
+// Transfer contract: a state saved by one runtime may be restored into
+// another only when their configurations differ at most in the container
+// budget and in the trace their forecasts were seeded from, and those
+// traces seed identically. The simulator checks the trace side itself
+// (ResumeCompiled accepts the recorded trace or a verified extension of
+// it); the runtime side — same ISA, scheduler, policies and seeding mode —
+// is the caller's, which is why callers key trails by exactly those knobs.
 type Checkpointable interface {
 	Runtime
 	// ContainerBudget returns the budget axis value of this runtime.
@@ -125,11 +141,12 @@ type trailSnap struct {
 //
 // A trail remembers the identity of the compiled trace it recorded — by
 // pointer, since workload.Compiled is immutable and callers (the Runner's
-// compile memo) hold one canonical *Compiled per workload. Serve and
-// ResumeCompiled refuse a trail whose trace is not the very same object:
-// under ISA-switching workloads two different traces can agree on phase
-// count and still schedule completely differently, and a silently wrong
-// resume is the one failure mode delta-resimulation must never have.
+// compile memo) hold one canonical *Compiled per workload. Serve accepts
+// only that very object; ResumeCompiled also accepts a longer trace that
+// workload.Compiled.Extends vouches for. Any other trace is refused: under
+// ISA-switching workloads two different traces can agree on phase count and
+// still schedule completely differently, and a silently wrong resume is the
+// one failure mode delta-resimulation must never have.
 type Trail struct {
 	name       string
 	budget     int
@@ -158,6 +175,40 @@ func (t *Trail) reset(name string, budget int, ct *workload.Compiled, journal bo
 	t.hasJournal = journal
 	t.snaps = t.snaps[:0]
 	t.jbuf = t.jbuf[:0]
+}
+
+// rung returns the ladder index a run of ct at budget with opts may
+// continue from, or -1 when the trail cannot be used for it: incomplete,
+// ineligible options, a journal the trail did not capture, a trace that is
+// neither the recorded one nor a verified extension of it, or no rung that
+// transfers to the budget.
+func (t *Trail) rung(ct *workload.Compiled, budget int, opts Options) int {
+	if !t.complete || !DeltaEligible(opts) || (opts.Journal != nil && !t.hasJournal) {
+		return -1
+	}
+	if t.ct != ct && !ct.Extends(t.ct) {
+		return -1
+	}
+	i := t.resumeIndex(budget)
+	if i >= 0 && t.snaps[i].phase != len(ct.Phases) && t.snaps[i].rtState == nil {
+		// A rung without runtime state (ImportTrail's serve-only rung, the
+		// stateless software runtime) can end a run but never continue one.
+		return -1
+	}
+	return i
+}
+
+// ResumeDepth reports how many leading phases of ct a run at budget with
+// opts skips by using this trail: len(ct.Phases) when Serve satisfies the
+// run outright, fewer when ResumeCompiled restores that many phases and
+// simulates the rest, and 0 when the trail cannot be used. Callers holding
+// several trails pick the deepest; the legality checks stay here, so no
+// caller can vouch for a trace on the trail's behalf.
+func (t *Trail) ResumeDepth(ct *workload.Compiled, budget int, opts Options) int {
+	if i := t.rung(ct, budget, opts); i >= 0 {
+		return t.snaps[i].phase
+	}
+	return 0
 }
 
 // resumeIndex returns the deepest ladder rung whose prefix transfers to
@@ -277,17 +328,14 @@ func RunCompiledTrail(ctx context.Context, ct *workload.Compiled, rt Checkpointa
 // Serve satisfies a run for the given budget entirely from the trail — no
 // runtime, no simulation — when the deepest transferable snapshot is the
 // end of the recorded run (always the case for budget == RecordedBudget,
-// and for any budget when the whole run was budget-insensitive). It fills
-// res (and replays the journal bytes when opts.Journal is set) and reports
-// whether it could serve.
+// and for any budget when the whole run was budget-insensitive). ct must be
+// the recorded trace itself. It fills res (and replays the journal bytes
+// when opts.Journal is set) and reports whether it could serve.
 func (t *Trail) Serve(ct *workload.Compiled, budget int, opts Options, res *Result) (bool, error) {
-	if !t.complete || !DeltaEligible(opts) || t.ct != ct {
+	if t.ct != ct {
 		return false, nil
 	}
-	if opts.Journal != nil && !t.hasJournal {
-		return false, nil
-	}
-	i := t.resumeIndex(budget)
+	i := t.rung(ct, budget, opts)
 	if i < 0 || t.snaps[i].phase != len(ct.Phases) {
 		return false, nil
 	}
@@ -305,11 +353,13 @@ func (t *Trail) Serve(ct *workload.Compiled, budget int, opts Options, res *Resu
 
 // ResumeCompiled runs ct on rt for rt.ContainerBudget(), reusing the
 // longest transferable prefix of src instead of simulating from power-on.
-// It restores the deepest legal snapshot into rt, replays the prefix's
-// journal bytes if a journal is collected, and simulates only the remaining
-// phases. rec, when non-nil, receives a complete trail of THIS run (prefix
+// ct is src's recorded trace or a verified extension of it (see Trail). It
+// restores the deepest legal snapshot into rt, replays the prefix's journal
+// bytes if a journal is collected, and simulates only the remaining phases.
+// rec, when non-nil, receives a complete trail of THIS run on ct (prefix
 // snapshots shared with src — trails are immutable once complete, so
-// sharing is safe), making the budget available for future full skips.
+// sharing is safe), making the budget and trace available for future full
+// skips.
 //
 // The first return reports whether src was used; when false (ineligible
 // options, incomplete or mismatched trail, no transferable snapshot, or a
@@ -317,18 +367,12 @@ func (t *Trail) Serve(ct *workload.Compiled, budget int, opts Options, res *Resu
 // RunCompiled/RunCompiledTrail. res is field-exact identical — journal
 // bytes included — to a fresh run of rt, which the oracle corpus pins.
 func ResumeCompiled(ctx context.Context, ct *workload.Compiled, rt Checkpointable, opts Options, res *Result, src *Trail, rec *Trail) (bool, error) {
-	if !src.complete || !DeltaEligible(opts) || src.ct != ct {
-		return false, nil
-	}
-	wantJ := opts.Journal != nil
-	if wantJ && !src.hasJournal {
-		return false, nil
-	}
 	budget := rt.ContainerBudget()
-	i := src.resumeIndex(budget)
+	i := src.rung(ct, budget, opts)
 	if i < 0 {
 		return false, nil
 	}
+	wantJ := opts.Journal != nil
 	snap := &src.snaps[i]
 
 	res.reset(rt.Name(), ct.NumSIs, len(ct.Phases), opts)
@@ -342,13 +386,6 @@ func ResumeCompiled(ctx context.Context, ct *workload.Compiled, rt Checkpointabl
 			}
 		}
 		return true, nil
-	}
-
-	if snap.rtState == nil {
-		// A serve-only imported trail (ImportTrail) carries no runtime
-		// state; its single rung can never be selected mid-run, but guard
-		// the invariant rather than assume it.
-		return false, nil
 	}
 
 	var recorder *trailRec

@@ -1,6 +1,7 @@
 // Benchmarks of the delta-resimulation layer: recording overhead on top of
-// a plain run, the cost of a runtime-free full skip, and a cross-budget
-// partial resume. Tracked in BENCH_baseline.json via benchcheck.
+// a plain run, the cost of a runtime-free full skip, a cross-budget partial
+// resume, and a resume across a trace extension. Tracked in
+// BENCH_baseline.json via benchcheck.
 package sim_test
 
 import (
@@ -86,6 +87,34 @@ func BenchmarkRunDeltaResume(b *testing.B) {
 		}
 		if !used {
 			b.Fatal("no transferable snapshot")
+		}
+	}
+}
+
+// BenchmarkRunDeltaExtend measures a resume across a trace extension: a
+// trail recorded on the 10-frame H.264 trace resumes the 12-frame trace at
+// the same 10 ACs, restoring the state after frame 10 and simulating only
+// the last two frames. A change that silently disables extension turns
+// this back into a 12-frame run from power-on — a jump in ns/op.
+func BenchmarkRunDeltaExtend(b *testing.B) {
+	is, short := compiledFrame(b, 10)
+	_, long := compiledFrame(b, 12)
+	var trail sim.Trail
+	if err := sim.RunCompiledTrail(context.Background(), short, hefManagerAt(is, short, 10),
+		sim.Options{}, new(sim.Result), &trail); err != nil {
+		b.Fatal(err)
+	}
+	rt := hefManagerAt(is, long, 10)
+	var res sim.Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		used, err := sim.ResumeCompiled(context.Background(), long, rt, sim.Options{}, &res, &trail, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !used {
+			b.Fatal("the 10-frame trail did not extend to the 12-frame trace")
 		}
 	}
 }

@@ -251,8 +251,11 @@ func TestTrailRejectsIneligibleOptions(t *testing.T) {
 	}
 }
 
-// TestTrailPhaseCountMismatch: a trail recorded against one trace must not
-// serve a trace with a different phase count.
+// TestTrailPhaseCountMismatch: a trail recorded on a 1-frame trace never
+// serves the 2-frame trace (Serve is identity-only), but ResumeCompiled
+// extends it — the 2-frame trace begins with the 1-frame one phase for
+// phase — and the extended run, plus the trail it records, must match a
+// fresh 2-frame run field for field, journal bytes included.
 func TestTrailPhaseCountMismatch(t *testing.T) {
 	is := isa.H264()
 	tr1 := workload.H264(workload.H264Config{Frames: 1})
@@ -265,16 +268,91 @@ func TestTrailPhaseCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trail := new(sim.Trail)
-	rt := checkpointRuntime(t, "HEF", is, tr1, 10)
-	if err := sim.RunCompiledTrail(context.Background(), ct1, rt, sim.Options{}, new(sim.Result), trail); err != nil {
+	const recordAt = 10
+	for _, system := range checkpointSystems {
+		t.Run(system, func(t *testing.T) {
+			trail := new(sim.Trail)
+			if err := sim.RunCompiledTrail(context.Background(), ct1,
+				checkpointRuntime(t, system, is, tr1, recordAt),
+				sim.Options{Journal: new(bytes.Buffer)}, new(sim.Result), trail); err != nil {
+				t.Fatal(err)
+			}
+			for _, budget := range []int{recordAt, 5, 15} {
+				if served, _ := trail.Serve(ct2, budget, sim.Options{}, new(sim.Result)); served {
+					t.Fatalf("budget %d: trail served a trace with a different phase count", budget)
+				}
+				var refJ, gotJ bytes.Buffer
+				ref := new(sim.Result)
+				if err := sim.RunCompiled(context.Background(), ct2,
+					checkpointRuntime(t, system, is, tr2, budget),
+					sim.Options{Journal: &refJ}, ref); err != nil {
+					t.Fatal(err)
+				}
+				got, rec := new(sim.Result), new(sim.Trail)
+				rt := checkpointRuntime(t, system, is, tr2, budget)
+				used, err := sim.ResumeCompiled(context.Background(), ct2, rt,
+					sim.Options{Journal: &gotJ}, got, trail, rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				depth := trail.ResumeDepth(ct2, budget, sim.Options{Journal: &gotJ})
+				if used != (depth > 0) {
+					t.Fatalf("budget %d: ResumeCompiled used=%v but ResumeDepth=%d", budget, used, depth)
+				}
+				// At the recorded budget the whole 1-frame run transfers; only
+				// the stateless software runtime cannot continue from a rung.
+				if budget == recordAt && system != "software" && depth != len(ct1.Phases) {
+					t.Fatalf("budget %d: ResumeDepth = %d, want the whole prefix (%d phases)", budget, depth, len(ct1.Phases))
+				}
+				path := "extend"
+				if !used {
+					path = "record-fallback"
+					if err := sim.RunCompiledTrail(context.Background(), ct2, rt,
+						sim.Options{Journal: &gotJ}, got, rec); err != nil {
+						t.Fatal(err)
+					}
+				}
+				requireSameRun(t, path, got, ref, gotJ.Bytes(), refJ.Bytes())
+				// The extended trail belongs to the 2-frame trace now.
+				var skipJ bytes.Buffer
+				skip := new(sim.Result)
+				if served, err := rec.Serve(ct2, budget, sim.Options{Journal: &skipJ}, skip); err != nil || !served {
+					t.Fatalf("budget %d: extended trail cannot serve its own run: served=%v err=%v", budget, served, err)
+				}
+				requireSameRun(t, path+"/re-serve", skip, ref, skipJ.Bytes(), refJ.Bytes())
+			}
+		})
+	}
+}
+
+// TestTrailRefusesTruncation is the reverse case: extension is one-way, so
+// a trail recorded on the 2-frame trace neither serves nor resumes the
+// 1-frame trace, even though the latter is its exact prefix.
+func TestTrailRefusesTruncation(t *testing.T) {
+	is := isa.H264()
+	tr1 := workload.H264(workload.H264Config{Frames: 1})
+	tr2 := workload.H264(workload.H264Config{Frames: 2})
+	ct1, err := workload.Compile(tr1, is)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if served, _ := trail.Serve(ct2, 10, sim.Options{}, new(sim.Result)); served {
-		t.Error("trail served a trace with a different phase count")
+	ct2, err := workload.Compile(tr2, is)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if used, _ := sim.ResumeCompiled(context.Background(), ct2, rt, sim.Options{}, new(sim.Result), trail, nil); used {
-		t.Error("trail resumed a trace with a different phase count")
+	trail := new(sim.Trail)
+	rt := checkpointRuntime(t, "HEF", is, tr2, 10)
+	if err := sim.RunCompiledTrail(context.Background(), ct2, rt, sim.Options{}, new(sim.Result), trail); err != nil {
+		t.Fatal(err)
+	}
+	if served, _ := trail.Serve(ct1, 10, sim.Options{}, new(sim.Result)); served {
+		t.Error("2-frame trail served the 1-frame trace")
+	}
+	if used, _ := sim.ResumeCompiled(context.Background(), ct1, rt, sim.Options{}, new(sim.Result), trail, nil); used {
+		t.Error("2-frame trail resumed the 1-frame trace")
+	}
+	if d := trail.ResumeDepth(ct1, 10, sim.Options{}); d != 0 {
+		t.Errorf("ResumeDepth on the truncated trace = %d, want 0", d)
 	}
 }
 

@@ -9,9 +9,10 @@
 // runtime at all, it just restores the Result accumulator and replays the
 // journal bytes. Those are plain data. An imported trail therefore serves
 // exactly the budgets a full skip is legal for and declines everything
-// else (ResumeCompiled finds no mid-run snapshot to restore), which keeps
-// the one invariant of this subsystem intact: a wrong resume can never
-// happen, only a missed optimization.
+// else — including extension to a longer trace, where its final rung would
+// be a mid-run snapshot without the runtime state to continue from — which
+// keeps the one invariant of this subsystem intact: a wrong resume can
+// never happen, only a missed optimization.
 package sim
 
 import (

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"rispp/internal/isa"
 )
@@ -45,6 +46,65 @@ type Compiled struct {
 	// sizes the simulator's dense per-SI accounting.
 	NumSIs int
 	Phases []CompiledPhase
+
+	// prefixes memoizes Extends per shorter trace (*Compiled → bool), so
+	// the memo lives and dies with the traces it relates.
+	prefixes sync.Map
+}
+
+// Extends reports whether c strictly extends prefix: prefix is shorter, was
+// compiled for the same SI count, and every one of its phases equals c's
+// phase at the same index — hot spot, setup, bursts with their SI metadata,
+// and hot-spot SI set. No hot spot may first appear in c after the prefix
+// either, so forecasts seeded from the first occurrence of each hot spot
+// (SeedFromTrace, the design-time estimation flow) are identical for both
+// traces. A run of c therefore passes through exactly the states a run of
+// prefix passes through, phase boundary by phase boundary.
+//
+// The answer is memoized on c per prefix: a pair pays one phase-by-phase
+// comparison, later calls a map lookup. Equal-length and longer traces are
+// never extended — not even by a content-identical copy.
+func (c *Compiled) Extends(prefix *Compiled) bool {
+	if prefix == nil || len(prefix.Phases) >= len(c.Phases) {
+		return false
+	}
+	if v, ok := c.prefixes.Load(prefix); ok {
+		return v.(bool)
+	}
+	ok := c.extends(prefix)
+	c.prefixes.Store(prefix, ok)
+	return ok
+}
+
+func (c *Compiled) extends(prefix *Compiled) bool {
+	if prefix.NumSIs != c.NumSIs {
+		return false
+	}
+	seen := make(map[isa.HotSpotID]bool)
+	for i := range prefix.Phases {
+		p, q := &prefix.Phases[i], &c.Phases[i]
+		if p.HotSpot != q.HotSpot || p.Setup != q.Setup ||
+			len(p.Bursts) != len(q.Bursts) || len(p.Spot) != len(q.Spot) {
+			return false
+		}
+		for j := range p.Bursts {
+			if p.Bursts[j] != q.Bursts[j] {
+				return false
+			}
+		}
+		for j := range p.Spot {
+			if p.Spot[j] != q.Spot[j] {
+				return false
+			}
+		}
+		seen[p.HotSpot] = true
+	}
+	for i := len(prefix.Phases); i < len(c.Phases); i++ {
+		if !seen[c.Phases[i].HotSpot] {
+			return false
+		}
+	}
+	return true
 }
 
 // Compile validates the trace against the ISA and lowers it into the flat

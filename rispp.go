@@ -99,12 +99,15 @@ type Config struct {
 	// trails (their serve-only final rung, see sim.TrailStore) in this
 	// directory, so repeated configurations full-skip across process
 	// restarts — typically a "trails" directory next to the explore result
-	// cache. Like that cache, the directory must be exclusive to one base
-	// configuration: the persisted key covers the per-point knobs
-	// (scheduler, forecast seeding, prefetch, workload), not the platform
-	// calibration fields of this struct. Ignored when the runner's memo is
-	// off (Bus set) or a custom base Workload is installed — the knobs then
-	// no longer identify the trace.
+	// cache. A loaded trail serves exactly its own point (frame count
+	// included): it carries no runtime state, so it never resumes another
+	// budget or extends to a longer trace. Like the result cache, the
+	// directory must be exclusive to one base configuration: the persisted
+	// key covers the per-point knobs (scheduler, forecast seeding,
+	// prefetch, workload), not the platform calibration fields of this
+	// struct. Ignored when the runner's memo is off (Bus set) or a custom
+	// base Workload is installed — the knobs then no longer identify the
+	// trace.
 	TrailDir string
 }
 
@@ -228,9 +231,10 @@ type Runner struct {
 	poolHits, poolMisses atomic.Int64
 
 	// trails holds completed delta-resimulation trails (sim.Trail) keyed by
-	// everything that distinguishes runs EXCEPT the container budget — the
-	// axis trails transfer across. Only complete trails are stored, and a
-	// complete trail is immutable, so lookups are lock-free reads.
+	// everything that distinguishes runs EXCEPT the container budget and the
+	// frame count — the two axes trails transfer across. Only complete
+	// trails are stored, and a complete trail is immutable, so reading one
+	// needs no lock.
 	trails                               sync.Map // trailKey → *trailSet
 	deltaServes, deltaResumes, deltaRecs atomic.Int64
 
@@ -252,48 +256,68 @@ type workKey struct {
 	knobs    workload.H264Config
 }
 
-// trailKey is runtimeKey minus the budget axis: two runs with equal trail
-// keys differ at most in NumACs, which is exactly the difference
-// delta-resimulation bridges.
+// trailKey is runtimeKey minus the budget axis and the frame count: two
+// runs with equal trail keys differ at most in NumACs and in how many
+// frames of one workload family they run — the differences
+// delta-resimulation bridges. The frame count is only a candidate filter:
+// whether a shorter run's trail really prefixes a longer trace is decided
+// by sim, per compiled-trace pair (workload.Compiled.Extends).
 type trailKey struct {
 	scheduler     string
 	seedForecasts bool
 	prefetch      bool
-	work          workKey
+	work          workKey // knobs.Frames zeroed
 }
 
-// trailSet holds the recorded trails of one budget-axis class. The mutex
-// guards the map only; the trails themselves are immutable once stored.
+// trailEntry is one stored trail with the point coordinates it serves.
+type trailEntry struct {
+	frames, budget int
+	t              *sim.Trail
+}
+
+// trailSet holds the recorded trails of one trail class. entries is
+// append-only, so a reader copies the slice header under the mutex and then
+// walks the entries without it: stored entries never change, and the
+// trails are immutable once stored.
 type trailSet struct {
-	mu       sync.Mutex
-	byBudget map[int]*sim.Trail
+	mu      sync.Mutex
+	entries []trailEntry
 }
 
-// candidates appends the trails worth consulting for budget: the exact
-// match first (always a full skip), then every other recorded budget.
-func (ts *trailSet) candidates(budget int, dst []*sim.Trail) []*sim.Trail {
+// deepest returns the stored trail that skips the most leading phases of
+// ct for a run at budget with opts, and that depth (0 and nil when none is
+// usable). A depth of len(ct.Phases) is a full skip (Trail.Serve); the walk
+// stops at the first one. Selection allocates nothing.
+func (ts *trailSet) deepest(ct *workload.Compiled, budget int, opts sim.Options) (*sim.Trail, int) {
 	ts.mu.Lock()
-	if t := ts.byBudget[budget]; t != nil {
-		dst = append(dst, t)
-	}
-	for b, t := range ts.byBudget {
-		if b != budget {
-			dst = append(dst, t)
+	entries := ts.entries
+	ts.mu.Unlock()
+	var best *sim.Trail
+	depth := 0
+	for i := range entries {
+		t := entries[i].t
+		if d := t.ResumeDepth(ct, budget, opts); d > depth {
+			best, depth = t, d
+			if d == len(ct.Phases) {
+				break
+			}
 		}
 	}
-	ts.mu.Unlock()
-	return dst
+	return best, depth
 }
 
-// store records the complete trail for budget, first-wins: under concurrent
-// recording of the same point the earliest trail sticks and later ones are
-// dropped (all are field-exact equivalent).
-func (ts *trailSet) store(budget int, t *sim.Trail) {
+// store records the complete trail for (frames, budget), first-wins: under
+// concurrent recording of the same point the earliest trail sticks and
+// later ones are dropped (all are field-exact equivalent).
+func (ts *trailSet) store(frames, budget int, t *sim.Trail) {
 	ts.mu.Lock()
-	if _, ok := ts.byBudget[budget]; !ok {
-		ts.byBudget[budget] = t
+	defer ts.mu.Unlock()
+	for _, e := range ts.entries {
+		if e.frames == frames && e.budget == budget {
+			return
+		}
 	}
-	ts.mu.Unlock()
+	ts.entries = append(ts.entries, trailEntry{frames: frames, budget: budget, t: t})
 }
 
 // runtimePool is a per-key free list of idle runtimes. Unlike sync.Pool it
@@ -411,9 +435,9 @@ func (r *Runner) deltaOn(cfg *Config) bool {
 	return r.memo && !cfg.DisableDelta && sim.DeltaEligible(cfg.Collect)
 }
 
-// trailSetFor returns the (lazily created) trail set of cfg's budget-axis
-// class.
+// trailSetFor returns the (lazily created) trail set of cfg's trail class.
 func (r *Runner) trailSetFor(cfg *Config, key workKey) *trailSet {
+	key.knobs.Frames = 0
 	tk := trailKey{
 		scheduler:     cfg.Scheduler,
 		seedForecasts: cfg.SeedForecasts,
@@ -422,22 +446,23 @@ func (r *Runner) trailSetFor(cfg *Config, key workKey) *trailSet {
 	}
 	v, ok := r.trails.Load(tk)
 	if !ok {
-		v, _ = r.trails.LoadOrStore(tk, &trailSet{byBudget: make(map[int]*sim.Trail)})
+		v, _ = r.trails.LoadOrStore(tk, new(trailSet))
 	}
 	return v.(*trailSet)
 }
 
 // runPointDelta is RunPoint through the delta-resimulation layer: serve the
 // point from a recorded trail when one transfers end to end (no runtime at
-// all), otherwise resume from the deepest transferable prefix — falling
-// back to a full recording run — and store the resulting trail so future
-// requests for this budget full-skip.
+// all), otherwise resume from the deepest transferable rung among all the
+// class's trails — other budgets of this trace, and trails of shorter
+// traces this one verifiably extends — falling back to a full recording
+// run, and store the resulting trail so future requests for this point
+// full-skip.
 func (r *Runner) runPointDelta(ctx context.Context, cfg *Config, key workKey, ct *workload.Compiled, res *sim.Result) error {
 	ts := r.trailSetFor(cfg, key)
-	var buf [16]*sim.Trail
-	cands := ts.candidates(cfg.NumACs, buf[:0])
-	for _, t := range cands {
-		served, err := t.Serve(ct, cfg.NumACs, cfg.Collect, res)
+	best, depth := ts.deepest(ct, cfg.NumACs, cfg.Collect)
+	if best != nil && depth == len(ct.Phases) {
+		served, err := best.Serve(ct, cfg.NumACs, cfg.Collect, res)
 		if served {
 			if err == nil {
 				r.deltaServes.Add(1)
@@ -447,14 +472,15 @@ func (r *Runner) runPointDelta(ctx context.Context, cfg *Config, key workKey, ct
 	}
 	// Nothing in memory full-skips; a trail persisted by an earlier process
 	// (same key, exact budget) still might. A loaded trail joins the
-	// in-memory set so subsequent requests skip the disk.
+	// in-memory set so subsequent requests skip the disk. It is serve-only
+	// (no runtime state), so it never becomes an extension source.
 	if r.trailStore != nil {
 		if t, ok := r.trailStore.Get(persistKey(cfg, key), cfg.NumACs, ct); ok {
 			if served, err := t.Serve(ct, cfg.NumACs, cfg.Collect, res); served {
 				if err == nil {
 					r.trailLoads.Add(1)
 					r.deltaServes.Add(1)
-					ts.store(cfg.NumACs, t)
+					ts.store(key.knobs.Frames, cfg.NumACs, t)
 				}
 				return err
 			}
@@ -467,7 +493,7 @@ func (r *Runner) runPointDelta(ctx context.Context, cfg *Config, key workKey, ct
 		seedForecasts: cfg.SeedForecasts,
 		prefetch:      cfg.Prefetch,
 		work:          key,
-	})
+	}, ct)
 	if err != nil {
 		return err
 	}
@@ -479,12 +505,8 @@ func (r *Runner) runPointDelta(ctx context.Context, cfg *Config, key workKey, ct
 	}
 	rec := new(sim.Trail)
 	resumed := false
-	for _, t := range cands {
-		used, rerr := sim.ResumeCompiled(ctx, ct, crt, cfg.Collect, res, t, rec)
-		if used {
-			resumed, err = true, rerr
-			break
-		}
+	if best != nil {
+		resumed, err = sim.ResumeCompiled(ctx, ct, crt, cfg.Collect, res, best, rec)
 	}
 	if !resumed {
 		err = sim.RunCompiledTrail(ctx, ct, crt, cfg.Collect, res, rec)
@@ -498,7 +520,7 @@ func (r *Runner) runPointDelta(ctx context.Context, cfg *Config, key workKey, ct
 	} else {
 		r.deltaRecs.Add(1)
 	}
-	ts.store(cfg.NumACs, rec)
+	ts.store(key.knobs.Frames, cfg.NumACs, rec)
 	if r.trailStore != nil {
 		// Best-effort: a failed save costs a future warm start, never the
 		// current result.
@@ -511,8 +533,10 @@ func (r *Runner) runPointDelta(ctx context.Context, cfg *Config, key workKey, ct
 
 // runtime returns a runtime for cfg, pooled under key when sound. A non-nil
 // pool must be handed back via putRuntime once the run completes — even a
-// failed run, since Reset restores power-on state regardless.
-func (r *Runner) runtime(cfg *Config, key runtimeKey) (sim.Runtime, *runtimePool, error) {
+// failed run, since Reset restores power-on state regardless. ct is the
+// compiled trace the run executes; a runtime built on a pool miss seeds its
+// forecasts from ct.Trace rather than regenerating the workload.
+func (r *Runner) runtime(cfg *Config, key runtimeKey, ct *workload.Compiled) (sim.Runtime, *runtimePool, error) {
 	if !r.memo {
 		r.poolMisses.Add(1)
 		rt, err := NewRuntime(*cfg)
@@ -528,7 +552,9 @@ func (r *Runner) runtime(cfg *Config, key runtimeKey) (sim.Runtime, *runtimePool
 		return rt, pool, nil
 	}
 	r.poolMisses.Add(1)
-	materializeWorkload(cfg, key.work) // forecast seeding reads the trace
+	if cfg.Workload == nil {
+		cfg.Workload = ct.Trace // forecast seeding reads the trace
+	}
 	rt, err := NewRuntime(*cfg)
 	if err != nil {
 		return nil, nil, err
@@ -545,10 +571,11 @@ func (r *Runner) putRuntime(pool *runtimePool, rt sim.Runtime) {
 // pointConfig materializes point p over the base config and returns it with
 // the workload memo key (zeroed when the base pins a shared trace). When
 // memoization is on, cfg.Workload is left nil for generator-driven traces:
-// generating the trace is only necessary on a memo or runtime-pool miss,
-// and materializeWorkload fills it in exactly there. The steady state —
-// warm memo, warm pool — therefore touches neither the ISA builder nor the
-// trace generator.
+// generating the trace is only necessary on a compile-memo miss, and
+// materializeWorkload fills it in exactly there; a runtime-pool miss seeds
+// from the memoized compiled trace instead. The steady state — warm memo,
+// warm pool — therefore touches neither the ISA builder nor the trace
+// generator, and a cold runtime build does not regenerate the trace.
 //
 // A point naming a scenario swaps in that scenario's ISA (the merged
 // instruction set of a multi-app scenario is a different Atom space than
@@ -673,7 +700,7 @@ func (r *Runner) RunPoint(ctx context.Context, p explore.Point, collect sim.Opti
 		seedForecasts: cfg.SeedForecasts,
 		prefetch:      cfg.Prefetch,
 		work:          key,
-	})
+	}, ct)
 	if err != nil {
 		return err
 	}
@@ -686,9 +713,10 @@ func (r *Runner) RunPoint(ctx context.Context, p explore.Point, collect sim.Opti
 // this library: every explore.Point is materialized as a Config and
 // simulated on a bounded worker pool, through a shared Runner (see Runner
 // for the workload semantics and the scratch-sharing guarantees). The
-// engine's RunSet hook is wired too, so the points of one scheduler group
-// reach a worker together; the Runner runs them one after another, exactly
-// as it runs single points.
+// engine's RunSet hook is wired too, so the points of one workload family
+// (equal except in scheduler and frame count) reach a worker together; the
+// Runner runs them one after another, exactly as it runs single points,
+// and each longer trace resumes from its shorter sibling's trail.
 func Explorer(base Config, workers int, cache *explore.Cache) *explore.Engine {
 	return explorer(base, workers, cache, false)
 }
@@ -722,8 +750,10 @@ func explorer(base Config, workers int, cache *explore.Cache, check bool) *explo
 func (r *Runner) EngineRun() explore.RunFunc { return r.engineRun(false) }
 
 // EngineRunSet adapts the Runner to the engine's grouped signature: the
-// points of one scheduler group run one after another, each exactly as
-// EngineRun would run it.
+// points of one workload family run one after another in the given order,
+// each exactly as EngineRun would run it. In the engine's order (each
+// scheduler's points in ascending frames) a longer trace finds the trail
+// of the shorter one just recorded and extends it.
 func (r *Runner) EngineRunSet() explore.RunSetFunc { return r.engineRunSet(false) }
 
 func (r *Runner) engineRun(check bool) explore.RunFunc {

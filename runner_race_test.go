@@ -96,7 +96,7 @@ func TestRunnerConcurrentUseIsRaceFreeAndDeterministic(t *testing.T) {
 
 // TestRuntimePoolConcurrentUseIsRaceFreeAndDeterministic hammers the
 // runtime pool of one shared Runner from many goroutines, half via RunPoint
-// and half via EngineRunSet (whole scheduler groups, the engine's grouped
+// and half via EngineRunSet (multi-point groups, like the engine's grouped
 // dispatch), checking every result against a sequential baseline. Run under
 // -race; cheap enough for -short.
 func TestRuntimePoolConcurrentUseIsRaceFreeAndDeterministic(t *testing.T) {

@@ -83,3 +83,38 @@ func TestTrailPersistenceGates(t *testing.T) {
 		t.Error("persistence on with a custom base workload")
 	}
 }
+
+// TestPersistedTrailNeverExtends: a trail loaded from TrailDir is serve-only
+// — it carries no runtime state — so a restarted Runner must serve its own
+// point from it but record the longer trace from power-on.
+func TestPersistedTrailNeverExtends(t *testing.T) {
+	dir := t.TempDir()
+	short := explore.Point{Scheduler: "HEF", NumACs: 10, Frames: 1, SeedForecasts: true}
+	long := short
+	long.Frames = 2
+	if err := NewRunner(Config{TrailDir: dir}).RunPoint(context.Background(), short, sim.Options{}, new(sim.Result)); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted := NewRunner(Config{TrailDir: dir})
+	for _, p := range []explore.Point{short, long} {
+		got, want := new(sim.Result), new(sim.Result)
+		if err := restarted.RunPoint(context.Background(), p, sim.Options{}, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := NewRunner(Config{DisableDelta: true}).RunPoint(context.Background(), p, sim.Options{}, want); err != nil {
+			t.Fatal(err)
+		}
+		if got.TotalCycles != want.TotalCycles || !reflect.DeepEqual(got.Executions(), want.Executions()) {
+			t.Errorf("%d frames: %d cycles, want %d", p.Frames, got.TotalCycles, want.TotalCycles)
+		}
+	}
+	serves, resumes, records := restarted.DeltaStats()
+	if serves != 1 || resumes != 0 || records != 1 {
+		t.Errorf("restarted runner: serves=%d resumes=%d records=%d, want 1/0/1 (the loaded trail must not extend)",
+			serves, resumes, records)
+	}
+	if _, _, loads, _ := restarted.TrailPersistence(); loads != 1 {
+		t.Errorf("loads = %d, want 1", loads)
+	}
+}
