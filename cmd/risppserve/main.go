@@ -49,7 +49,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -117,13 +116,7 @@ func main() {
 		cfg.AccessLog = f
 	}
 
-	base := rispp.Config{}
-	if *cacheDir != "" {
-		// Persist delta-resimulation trails next to the result cache, so a
-		// restarted worker full-skips repeated configurations immediately.
-		base.TrailDir = filepath.Join(*cacheDir, "trails")
-	}
-	srv := serve.New(cfg, base)
+	srv := serve.New(cfg, rispp.Config{})
 	var cache *explore.Cache
 	if *cacheDir != "" {
 		c, err := explore.OpenCache(*cacheDir)

@@ -186,7 +186,7 @@ func TestCheckpointExtensionGeneratedCorpus(t *testing.T) {
 				switch {
 				case newSpot && used:
 					t.Fatalf("%s: extended although a hot spot first appears after the prefix", label())
-				case !newSpot && budget == acs && sys != "software" && !used:
+				case !newSpot && budget == acs && !used:
 					t.Fatalf("%s: refused a verified extension at the recorded budget", label())
 				}
 				if used {

@@ -45,8 +45,8 @@
 // The recorded run's states at every boundary of the shared prefix are then
 // exactly the longer run's states, and the budget rules above apply
 // unchanged. Everything else is refused, never guessed: a same-length trace
-// that is not the recorded object, any shorter trace (no truncation
-// serves), and serve-only rungs (ImportTrail) that carry no runtime state.
+// that is not the recorded object and any shorter trace (no truncation
+// serves).
 package sim
 
 import (
@@ -73,7 +73,9 @@ type Checkpointable interface {
 	Runtime
 	// ContainerBudget returns the budget axis value of this runtime.
 	ContainerBudget() int
-	// NewState allocates an empty state arena for SaveState.
+	// NewState allocates an empty state arena for SaveState. A runtime
+	// without mutable state may return nil; its rungs then hold no runtime
+	// state and RestoreState receives nil.
 	NewState() any
 	// SaveState deep-copies the runtime's mutable state into a NewState
 	// value; only legal at a phase boundary (between hot spots).
@@ -161,12 +163,6 @@ type Trail struct {
 // resumes.
 func (t *Trail) Complete() bool { return t.complete }
 
-// RecordedBudget returns the container budget of the recording run.
-func (t *Trail) RecordedBudget() int { return t.budget }
-
-// Snapshots returns the ladder depth (for introspection/metrics).
-func (t *Trail) Snapshots() int { return len(t.snaps) }
-
 func (t *Trail) reset(name string, budget int, ct *workload.Compiled, journal bool) {
 	t.name = name
 	t.budget = budget
@@ -189,13 +185,7 @@ func (t *Trail) rung(ct *workload.Compiled, budget int, opts Options) int {
 	if t.ct != ct && !ct.Extends(t.ct) {
 		return -1
 	}
-	i := t.resumeIndex(budget)
-	if i >= 0 && t.snaps[i].phase != len(ct.Phases) && t.snaps[i].rtState == nil {
-		// A rung without runtime state (ImportTrail's serve-only rung, the
-		// stateless software runtime) can end a run but never continue one.
-		return -1
-	}
-	return i
+	return t.resumeIndex(budget)
 }
 
 // ResumeDepth reports how many leading phases of ct a run at budget with
@@ -327,10 +317,11 @@ func RunCompiledTrail(ctx context.Context, ct *workload.Compiled, rt Checkpointa
 
 // Serve satisfies a run for the given budget entirely from the trail — no
 // runtime, no simulation — when the deepest transferable snapshot is the
-// end of the recorded run (always the case for budget == RecordedBudget,
-// and for any budget when the whole run was budget-insensitive). ct must be
-// the recorded trace itself. It fills res (and replays the journal bytes
-// when opts.Journal is set) and reports whether it could serve.
+// end of the recorded run (always the case for the recording run's own
+// budget, and for any budget when the whole run was budget-insensitive).
+// ct must be the recorded trace itself. It fills res (and replays the
+// journal bytes when opts.Journal is set) and reports whether it could
+// serve.
 func (t *Trail) Serve(ct *workload.Compiled, budget int, opts Options, res *Result) (bool, error) {
 	if t.ct != ct {
 		return false, nil

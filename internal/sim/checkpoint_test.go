@@ -299,9 +299,9 @@ func TestTrailPhaseCountMismatch(t *testing.T) {
 				if used != (depth > 0) {
 					t.Fatalf("budget %d: ResumeCompiled used=%v but ResumeDepth=%d", budget, used, depth)
 				}
-				// At the recorded budget the whole 1-frame run transfers; only
-				// the stateless software runtime cannot continue from a rung.
-				if budget == recordAt && system != "software" && depth != len(ct1.Phases) {
+				// At the recorded budget the whole 1-frame run transfers, the
+				// stateless software runtime's included.
+				if budget == recordAt && depth != len(ct1.Phases) {
 					t.Fatalf("budget %d: ResumeDepth = %d, want the whole prefix (%d phases)", budget, depth, len(ct1.Phases))
 				}
 				path := "extend"

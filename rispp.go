@@ -94,21 +94,6 @@ type Config struct {
 	// identical either way; the knob exists for benchmarking the raw
 	// simulator and for tests that pin runtime-pool behavior.
 	DisableDelta bool
-
-	// TrailDir, when non-empty, persists completed delta-resimulation
-	// trails (their serve-only final rung, see sim.TrailStore) in this
-	// directory, so repeated configurations full-skip across process
-	// restarts — typically a "trails" directory next to the explore result
-	// cache. A loaded trail serves exactly its own point (frame count
-	// included): it carries no runtime state, so it never resumes another
-	// budget or extends to a longer trace. Like the result cache, the
-	// directory must be exclusive to one base configuration: the persisted
-	// key covers the per-point knobs (scheduler, forecast seeding,
-	// prefetch, workload), not the platform calibration fields of this
-	// struct. Ignored when the runner's memo is off (Bus set) or a custom
-	// base Workload is installed — the knobs then no longer identify the
-	// trace.
-	TrailDir string
 }
 
 func (c *Config) setDefaults() {
@@ -190,13 +175,6 @@ func RunContext(ctx context.Context, cfg Config) (*sim.Result, error) {
 	return sim.RunContext(ctx, cfg.Workload, cfg.ISA, rt, cfg.Collect)
 }
 
-// SweepPoint is one cell of a scheduler × #ACs sweep.
-type SweepPoint struct {
-	Scheduler   string
-	NumACs      int
-	TotalCycles int64
-}
-
 // Runner materializes explore.Points as full simulation runs over a base
 // Config, sharing per-run scratch across calls: traces are compiled once
 // per distinct workload-knob combination (the compiled form is immutable
@@ -237,13 +215,6 @@ type Runner struct {
 	// needs no lock.
 	trails                               sync.Map // trailKey → *trailSet
 	deltaServes, deltaResumes, deltaRecs atomic.Int64
-
-	// trailStore, when non-nil, persists completed trails' final rungs
-	// (Config.TrailDir) and is consulted when no in-memory trail serves —
-	// the warm-start path across process restarts.
-	trailStore             *sim.TrailStore
-	trailStoreErr          error
-	trailLoads, trailSaves atomic.Int64
 }
 
 // workKey identifies a distinct workload under a fixed base config: which
@@ -376,36 +347,7 @@ func NewRunner(base Config) *Runner {
 	if base.ISA == nil {
 		base.ISA = isa.H264()
 	}
-	r := &Runner{base: base, memo: base.Bus == nil}
-	// Trail persistence needs the knobs to identify the trace: with the
-	// memo off or a verbatim base workload installed, equal persisted keys
-	// would not imply equal runs, so the store stays off.
-	if base.TrailDir != "" && r.memo && base.Workload == nil {
-		r.trailStore, r.trailStoreErr = sim.OpenTrailStore(base.TrailDir)
-	}
-	return r
-}
-
-// TrailPersistence reports the persisted-trail store state: the directory
-// (empty when persistence is off), the open error if any, and how many
-// runs were served from disk (loads) and persisted to it (saves).
-func (r *Runner) TrailPersistence() (dir string, err error, loads, saves int64) {
-	if r.trailStore != nil {
-		dir = r.trailStore.Dir()
-	}
-	return dir, r.trailStoreErr, r.trailLoads.Load(), r.trailSaves.Load()
-}
-
-// persistKey renders the durable identity of a trail class: the trailKey
-// fields in a stable string form. It deliberately excludes the container
-// budget (the transfer axis — the store keys files by it separately) and
-// the base platform calibration (the store directory is documented as
-// exclusive to one base configuration, exactly like the explore cache).
-func persistKey(cfg *Config, key workKey) string {
-	return fmt.Sprintf("sched=%s|sf=%t|pf=%t|scenario=%s|frames=%d|w=%d|h=%d|seed=%d|motion=%g|scene=%d",
-		cfg.Scheduler, cfg.SeedForecasts, cfg.Prefetch, key.scenario,
-		key.knobs.Frames, key.knobs.WidthMB, key.knobs.HeightMB,
-		key.knobs.Seed, key.knobs.MotionVariability, key.knobs.SceneChangeFrame)
+	return &Runner{base: base, memo: base.Bus == nil}
 }
 
 // RuntimePoolStats reports how often a RunPoint runtime request was served
@@ -470,22 +412,6 @@ func (r *Runner) runPointDelta(ctx context.Context, cfg *Config, key workKey, ct
 			return err
 		}
 	}
-	// Nothing in memory full-skips; a trail persisted by an earlier process
-	// (same key, exact budget) still might. A loaded trail joins the
-	// in-memory set so subsequent requests skip the disk. It is serve-only
-	// (no runtime state), so it never becomes an extension source.
-	if r.trailStore != nil {
-		if t, ok := r.trailStore.Get(persistKey(cfg, key), cfg.NumACs, ct); ok {
-			if served, err := t.Serve(ct, cfg.NumACs, cfg.Collect, res); served {
-				if err == nil {
-					r.trailLoads.Add(1)
-					r.deltaServes.Add(1)
-					ts.store(key.knobs.Frames, cfg.NumACs, t)
-				}
-				return err
-			}
-		}
-	}
 
 	rt, pool, err := r.runtime(cfg, runtimeKey{
 		scheduler:     cfg.Scheduler,
@@ -521,13 +447,6 @@ func (r *Runner) runPointDelta(ctx context.Context, cfg *Config, key workKey, ct
 		r.deltaRecs.Add(1)
 	}
 	ts.store(key.knobs.Frames, cfg.NumACs, rec)
-	if r.trailStore != nil {
-		// Best-effort: a failed save costs a future warm start, never the
-		// current result.
-		if err := r.trailStore.Put(persistKey(cfg, key), rec); err == nil {
-			r.trailSaves.Add(1)
-		}
-	}
 	return nil
 }
 
