@@ -85,9 +85,11 @@ cover-check:
 # scenario triples (multi-app merged ISAs, control-flow branch models,
 # content-driven encodes), every shipped library scenario, and the full
 # 140-frame H.264 trace under all six run-time systems. A divergence
-# fails with a minimal shrunk reproducer (see EXPERIMENTS.md).
+# fails with a minimal shrunk reproducer (see EXPERIMENTS.md). The
+# checkpoint corpora run too: trails served and extended at their recorded
+# budget must match fresh runs field-exact, and other budgets are refused.
 verify-oracle:
-	$(GO) test -run 'TestCrossCheck' -v ./internal/oracle
+	$(GO) test -run 'TestCrossCheck|TestCheckpoint' -v ./internal/oracle
 
 # Adaptive-search smoke (what the search-smoke CI job runs): every
 # strategy gets a 30-point budget over a small real-simulator space, runs

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rispp/internal/explore"
+	"rispp/internal/reconfig"
 	"rispp/internal/scenario"
 	"rispp/internal/sim"
 	"rispp/internal/workload"
@@ -27,14 +28,25 @@ func extendSpec() explore.Spec {
 // the grouped engine wiring (Run + RunSet, as Explorer builds it) and
 // requires record-identical output to a DisableDelta sweep, with longer
 // traces resumed from shorter ones' trails. A second pass with journals
-// requires the journal bytes of every extended point to match too.
+// requires the journal bytes of every extended point to match too. Each
+// eviction policy runs as its own base config: an extension restores a
+// state after evictions, so the random policy's RNG must resume where the
+// recorded run left it.
 func TestDeltaExtendSweepMatchesDisabled(t *testing.T) {
+	for _, pol := range []reconfig.EvictionPolicy{reconfig.EvictLRU, reconfig.EvictFIFO, reconfig.EvictRandom} {
+		t.Run(pol.String(), func(t *testing.T) { testDeltaExtendSweep(t, Config{Eviction: pol}) })
+	}
+}
+
+func testDeltaExtendSweep(t *testing.T, base Config) {
 	spec := extendSpec()
-	want, err := Explorer(Config{DisableDelta: true}, 2, nil).Execute(context.Background(), spec, nil)
+	plainBase := base
+	plainBase.DisableDelta = true
+	want, err := Explorer(plainBase, 2, nil).Execute(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rn := NewRunner(Config{})
+	rn := NewRunner(base)
 	eng := &explore.Engine{Workers: 2, Run: rn.EngineRun(), RunSet: rn.EngineRunSet()}
 	got, err := eng.Execute(context.Background(), spec, nil)
 	if err != nil {
@@ -54,7 +66,7 @@ func TestDeltaExtendSweepMatchesDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, delta := NewRunner(Config{DisableDelta: true}), NewRunner(Config{})
+	plain, delta := NewRunner(plainBase), NewRunner(base)
 	for _, p := range pts { // scheduler, budget, then ascending frames
 		var wantJ, gotJ bytes.Buffer
 		w, g := new(sim.Result), new(sim.Result)
@@ -73,9 +85,9 @@ func TestDeltaExtendSweepMatchesDisabled(t *testing.T) {
 		}
 	}
 	// Every RISPP and Molen 2- and 3-frame point extends its shorter sibling
-	// at the same budget. Software runs are budget-insensitive: its first
-	// budget extends 1 → 2 → 3 frames, and the later budgets are served
-	// from those trails outright.
+	// at the same budget. Software ignores the budget: its first budget
+	// extends 1 → 2 → 3 frames, and the later budgets are served from
+	// those trails outright.
 	if _, resumes, _ := delta.DeltaStats(); resumes < 5*3*2+2 {
 		t.Errorf("journaled pass resumed %d points, want ≥ %d (5 systems × 3 budgets × 2, plus software's 2)", resumes, 5*3*2+2)
 	}

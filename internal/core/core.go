@@ -87,13 +87,6 @@ type Manager struct {
 	lat      []int32   // per SI: current latency
 	touchIdx [][]int32 // per SI: slots Record must stamp for LRU recency
 
-	// Budget-sensitivity accounting for delta-resimulation (see
-	// BudgetSensitivity): the container demand of the run so far and
-	// whether any budget-dependent filter fired.
-	selDemand     int
-	selRejected   bool
-	budgetTouched bool // SetBudget was called since Reset → no transfer claims
-
 	// Selections counts hot-spot entries that selected at least one
 	// Molecule; Requests records the most recent selection.
 	Selections int
@@ -191,9 +184,6 @@ func (m *Manager) Reset() {
 	m.prefetched = false
 	m.budget = m.cfg.NumACs
 	m.gen++ // invalidate the per-SI latency/touch caches
-	m.selDemand = 0
-	m.selRejected = false
-	m.budgetTouched = false
 	m.Selections = 0
 	m.Requests = m.Requests[:0]
 	m.Prefetches = 0
@@ -226,7 +216,6 @@ func (m *Manager) SetBudget(n int) {
 		n = m.cfg.NumACs
 	}
 	m.budget = n
-	m.budgetTouched = true
 }
 
 // Budget returns the current selection budget.
@@ -259,12 +248,6 @@ func (m *Manager) EnterHotSpot(h isa.HotSpotID, now int64) {
 		}
 	} else {
 		reqs = selection.GreedyInto(cands, m.budget, is.Dim(), m.selScratch)
-		if m.selScratch.Rejected {
-			m.selRejected = true
-		}
-		if m.selScratch.Demand > m.selDemand {
-			m.selDemand = m.selScratch.Demand
-		}
 	}
 	m.Requests = reqs
 	if len(reqs) > 0 {
@@ -395,9 +378,8 @@ func (m *Manager) schedulePrefetch(now int64) {
 // --- delta-resimulation checkpointing (sim.Checkpointable) ---------------
 
 // State is an opaque checkpoint of a Manager at a phase boundary, produced
-// by SaveState and consumed by RestoreState. States transfer between
-// Managers whose configs agree on everything except NumACs (the delta axis);
-// the budget-transfer legality is the caller's job via BudgetSensitivity.
+// by SaveState and consumed by RestoreState. A State restores only into a
+// Manager built from the same config, NumACs included.
 type State struct {
 	mon    monitor.State
 	array  reconfig.ArrayState
@@ -409,15 +391,13 @@ type State struct {
 	prefetched bool
 	now        int64
 
-	selections  int
-	prefetches  int
-	staleLoads  int
-	selDemand   int
-	selRejected bool
+	selections int
+	prefetches int
+	staleLoads int
 }
 
-// ContainerBudget returns the physical container count checkpoint transfers
-// are measured against.
+// ContainerBudget returns the physical container count, the budget a trail
+// recorded on this Manager serves.
 func (m *Manager) ContainerBudget() int { return m.cfg.NumACs }
 
 // NewState allocates an empty checkpoint arena for SaveState.
@@ -445,8 +425,6 @@ func (m *Manager) SaveState(dst any) {
 	s.selections = m.Selections
 	s.prefetches = m.Prefetches
 	s.staleLoads = m.StaleLoads
-	s.selDemand = m.selDemand
-	s.selRejected = m.selRejected
 }
 
 // RestoreState overwrites the Manager's state with a saved one, replacing
@@ -466,37 +444,11 @@ func (m *Manager) RestoreState(src any) {
 	m.prefetched = s.prefetched
 	m.now = s.now
 	m.budget = m.cfg.NumACs
-	m.budgetTouched = false
 	m.gen++ // container contents replaced; caches are stale
 	m.Selections = s.selections
 	m.Requests = m.Requests[:0]
 	m.Prefetches = s.prefetches
 	m.StaleLoads = s.staleLoads
-	m.selDemand = s.selDemand
-	m.selRejected = s.selRejected
-}
-
-// BudgetSensitivity reports how the run so far depended on the container
-// budget. demand is the largest container count any decision actually
-// required: the joint sup of every Molecule selection and the peak array
-// occupancy. A prefix replayed on any budget ≥ demand commits the identical
-// decision sequence (greedy argmax stability: the budget filter only
-// removed losing candidates). upOK additionally reports that no
-// budget-dependent filter fired at all — no selection rejection, no
-// eviction, no stale load — so the prefix is also valid on larger budgets.
-// Exhaustive selection and prefetching make decisions that resist this
-// analysis; they and SetBudget report maximal sensitivity (demand = NumACs,
-// upOK = false), disabling transfers without affecting correctness.
-func (m *Manager) BudgetSensitivity() (demand int, upOK bool) {
-	if m.cfg.ExhaustiveSelection || m.cfg.Prefetch || m.budgetTouched {
-		return m.cfg.NumACs, false
-	}
-	demand = m.selDemand
-	if p := m.array.PeakOccupancy(); p > demand {
-		demand = p
-	}
-	upOK = !m.selRejected && m.array.Evictions == 0 && m.StaleLoads == 0
-	return demand, upOK
 }
 
 // Loaded exposes the current Atom availability (for inspection/tests).

@@ -67,13 +67,6 @@ type Runtime struct {
 	// AtomLoads counts individual Atom-sized bitstream loads.
 	AtomLoads int
 
-	// Budget-sensitivity accounting for delta-resimulation (see
-	// BudgetSensitivity): the container demand of the run so far and
-	// whether any budget-dependent filter fired.
-	demand      int
-	selRejected bool
-	evicted     bool
-
 	seeds map[isa.SIID]int64
 
 	// Reusable arenas for the per-hot-spot selection, recycled across calls
@@ -153,9 +146,6 @@ func (r *Runtime) Reset() {
 	r.portFree = 0
 	r.Loads = 0
 	r.AtomLoads = 0
-	r.demand = 0
-	r.selRejected = false
-	r.evicted = false
 }
 
 // hotSpotSIs returns the SIs of hot spot h, cached per Runtime: the ISA is
@@ -237,11 +227,7 @@ func (r *Runtime) EnterHotSpot(h isa.HotSpotID, now int64) {
 // are never victims. If capacity cannot be freed the SI stays in software.
 func (r *Runtime) enqueue(si isa.SIID, mol isa.Molecule, now int64) {
 	size := mol.Determinant()
-	if d := r.resident() + size; d > r.demand {
-		r.demand = d
-	}
 	for r.resident()+size > r.cfg.NumACs {
-		r.evicted = true
 		victim := -1
 		var oldest int64
 		// Ascending scan with strict <: among the least recently used units
@@ -392,7 +378,6 @@ func (r *Runtime) selectAdditive(cands []selection.Candidate, numACs int) []sche
 					continue // monolithic re-synthesis never shrinks below current
 				}
 				if used+int(cost) > numACs {
-					r.selRejected = true
 					continue
 				}
 				gain := c.Expected * int64(curLat[i]-m.Latency)
@@ -412,9 +397,6 @@ func (r *Runtime) selectAdditive(cands []selection.Candidate, numACs int) []sche
 		curLat[bestI] = chosen[bestI].Latency
 		used += chosen[bestI].Determinant() - prev
 	}
-	if used > r.demand {
-		r.demand = used
-	}
 	reqs := r.selReqs[:0]
 	for i, c := range cands {
 		if chosen[i] != nil {
@@ -427,9 +409,9 @@ func (r *Runtime) selectAdditive(cands []selection.Candidate, numACs int) []sche
 
 // --- delta-resimulation checkpointing (sim.Checkpointable) ---------------
 
-// State is an opaque checkpoint of the baseline at a phase boundary; see
-// core.State for the transfer rules. The unit table is indexed by SIID, so
-// it transfers unchanged between budgets.
+// State is an opaque checkpoint of the baseline at a phase boundary. A
+// State restores only into a Runtime built from the same config, NumACs
+// included.
 type State struct {
 	mon        monitor.State
 	units      []unit
@@ -440,14 +422,10 @@ type State struct {
 	portFree   int64
 	loads      int
 	atomLoads  int
-
-	demand      int
-	selRejected bool
-	evicted     bool
 }
 
-// ContainerBudget returns the capacity checkpoint transfers are measured
-// against.
+// ContainerBudget returns the container capacity, the budget a trail
+// recorded on this runtime serves.
 func (r *Runtime) ContainerBudget() int { return r.cfg.NumACs }
 
 // NewState allocates an empty checkpoint arena for SaveState.
@@ -466,9 +444,6 @@ func (r *Runtime) SaveState(dst any) {
 	s.portFree = r.portFree
 	s.loads = r.Loads
 	s.atomLoads = r.AtomLoads
-	s.demand = r.demand
-	s.selRejected = r.selRejected
-	s.evicted = r.evicted
 }
 
 // RestoreState overwrites the runtime's state with a saved one, replacing
@@ -486,17 +461,4 @@ func (r *Runtime) RestoreState(src any) {
 	r.portFree = s.portFree
 	r.Loads = s.loads
 	r.AtomLoads = s.atomLoads
-	r.demand = s.demand
-	r.selRejected = s.selRejected
-	r.evicted = s.evicted
-}
-
-// BudgetSensitivity reports how the run so far depended on the container
-// capacity: demand is the largest capacity any decision required (the
-// additive selection's committed cost and the reservation peak at enqueue),
-// upOK that no capacity filter fired at all — so the prefix transfers to
-// smaller budgets ≥ demand and, when upOK, to larger ones. The argument
-// mirrors core.(*Manager).BudgetSensitivity.
-func (r *Runtime) BudgetSensitivity() (demand int, upOK bool) {
-	return r.demand, !r.selRejected && !r.evicted
 }

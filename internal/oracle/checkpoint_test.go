@@ -1,9 +1,10 @@
-// Checkpoint-equivalence gate: a run served or resumed from a recorded
+// Checkpoint-equivalence gate: a run served or extended from a recorded
 // delta-resimulation trail (sim.Trail) must be field-exact identical to a
-// fresh from-power-on run at the same budget — including the JSONL journal
-// byte for byte — across the oracle's seeded generators and all six
-// run-time systems. A second corpus pins the scheduler kernels against the
-// choose-based reference loop on the same generated hardware.
+// fresh from-power-on run at the recorded budget — including the JSONL
+// journal byte for byte — and every other budget must be refused, across
+// the oracle's seeded generators and all six run-time systems. A third
+// corpus pins the scheduler kernels against the choose-based reference
+// loop on the same generated hardware.
 package oracle_test
 
 import (
@@ -22,91 +23,67 @@ import (
 	"rispp/internal/workload"
 )
 
-const checkpointSeeds = 60 // × systems × budgets ≈ 1.4k comparisons
+const checkpointSeeds = 60
 
-// TestCheckpointEquivalenceGeneratedCorpus records a trail at one budget
-// and satisfies neighboring budgets through the delta machinery — full
-// skip where the trail transfers end to end, partial resume otherwise,
-// with the resumed runtime deliberately dirtied first (the runtime-pool
-// pattern) — comparing every artifact against a fresh run.
+// TestCheckpointEquivalenceGeneratedCorpus records a trail per generated
+// configuration and requires it to serve its own budget field-exact against
+// a fresh run, journal bytes included, and to be refused at the
+// neighbouring budgets by Serve, ResumeDepth and ResumeCompiled.
 func TestCheckpointEquivalenceGeneratedCorpus(t *testing.T) {
 	for seed := int64(0); seed < checkpointSeeds; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		is := oracle.GenHardware(r)
 		tr := oracle.GenWorkload(r, is)
-		acs := 1 + oracle.GenNumACs(r) // record at ≥1 so down-transfer exists
+		acs := 1 + oracle.GenNumACs(r) // record at ≥1 so acs-1 is a legal neighbour
 		ct, err := workload.Compile(tr, is)
 		if err != nil {
 			t.Fatal(err)
 		}
-		budgets := []int{acs, acs - 1, acs + 2, 2 * acs}
 
 		for _, sys := range oracle.Systems {
-			trail := new(sim.Trail)
-			var recJournal bytes.Buffer
 			rt := newRuntime(t, sys, is, acs, tr).(sim.Checkpointable)
+			at := rt.ContainerBudget() // software has no containers: 0
+			trail := new(sim.Trail)
 			if err := sim.RunCompiledTrail(context.Background(), ct, rt,
-				sim.Options{Journal: &recJournal}, new(sim.Result), trail); err != nil {
+				sim.Options{Journal: new(bytes.Buffer)}, new(sim.Result), trail); err != nil {
 				t.Fatal(err)
 			}
 
-			for _, budget := range budgets {
-				var wantJournal, gotJournal bytes.Buffer
-				var want, got sim.Result
-				if err := sim.RunCompiled(context.Background(), ct,
-					newRuntime(t, sys, is, budget, tr),
-					sim.Options{Journal: &wantJournal}, &want); err != nil {
-					t.Fatal(err)
-				}
+			var wantJournal, gotJournal bytes.Buffer
+			var want, got sim.Result
+			if err := sim.RunCompiled(context.Background(), ct,
+				newRuntime(t, sys, is, at, tr),
+				sim.Options{Journal: &wantJournal}, &want); err != nil {
+				t.Fatal(err)
+			}
+			served, err := trail.Serve(ct, at, sim.Options{Journal: &gotJournal}, &got)
+			if err != nil || !served {
+				t.Fatalf("seed %d, system %s: Serve = %v, %v at the recorded budget %d", seed, sys, served, err, at)
+			}
+			if err := oracle.DiffResults(&want, &got); err != nil {
+				t.Errorf("seed %d, system %s, budget %d: %v", seed, sys, at, err)
+			}
+			if !bytes.Equal(wantJournal.Bytes(), gotJournal.Bytes()) {
+				t.Errorf("seed %d, system %s, budget %d: journal bytes differ between fresh and served run", seed, sys, at)
+			}
 
-				served, err := trail.Serve(ct, budget, sim.Options{Journal: &gotJournal}, &got)
-				if err != nil {
-					t.Fatal(err)
+			for _, budget := range []int{acs - 1, acs + 2, 2 * acs} {
+				if budget == at {
+					continue
 				}
-				if !served {
-					// Partial resume onto a dirtied runtime, recording the
-					// new budget's trail alongside.
-					crt := newRuntime(t, sys, is, budget, tr).(sim.Checkpointable)
-					if err := sim.RunCompiled(context.Background(), ct, crt, sim.Options{}, new(sim.Result)); err != nil {
-						t.Fatal(err)
-					}
-					rec := new(sim.Trail)
-					used, err := sim.ResumeCompiled(context.Background(), ct, crt,
-						sim.Options{Journal: &gotJournal}, &got, trail, rec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !used {
-						if err := sim.RunCompiledTrail(context.Background(), ct, crt,
-							sim.Options{Journal: &gotJournal}, &got, rec); err != nil {
-							t.Fatal(err)
-						}
-					}
-					// The freshly recorded trail must now serve its own
-					// budget exactly.
-					var skipJournal bytes.Buffer
-					var skip sim.Result
-					served2, err := rec.Serve(ct, budget, sim.Options{Journal: &skipJournal}, &skip)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !served2 {
-						t.Fatalf("seed %d, system %s, budget %d: re-recorded trail cannot serve its own budget",
-							seed, sys, budget)
-					}
-					if err := oracle.DiffResults(&want, &skip); err != nil {
-						t.Errorf("seed %d, system %s, budget %d (re-serve): %v", seed, sys, budget, err)
-					}
-					if !bytes.Equal(wantJournal.Bytes(), skipJournal.Bytes()) {
-						t.Errorf("seed %d, system %s, budget %d (re-serve): journal bytes differ", seed, sys, budget)
-					}
+				if served, _ := trail.Serve(ct, budget, sim.Options{}, new(sim.Result)); served {
+					t.Errorf("seed %d, system %s: trail recorded at %d served budget %d", seed, sys, at, budget)
 				}
-				if err := oracle.DiffResults(&want, &got); err != nil {
-					t.Errorf("seed %d, system %s, budget %d (recorded at %d): %v", seed, sys, budget, acs, err)
+				if d := trail.ResumeDepth(ct, budget, sim.Options{}); d != 0 {
+					t.Errorf("seed %d, system %s: trail recorded at %d has ResumeDepth %d at budget %d", seed, sys, at, d, budget)
 				}
-				if !bytes.Equal(wantJournal.Bytes(), gotJournal.Bytes()) {
-					t.Errorf("seed %d, system %s, budget %d (recorded at %d): journal bytes differ between fresh and delta run",
-						seed, sys, budget, acs)
+				crt := newRuntime(t, sys, is, budget, tr).(sim.Checkpointable)
+				if crt.ContainerBudget() != budget {
+					continue // software: every runtime is at budget 0
+				}
+				if used, _ := sim.ResumeCompiled(context.Background(), ct, crt,
+					sim.Options{}, new(sim.Result), trail, nil); used {
+					t.Errorf("seed %d, system %s: trail recorded at %d resumed budget %d", seed, sys, at, budget)
 				}
 			}
 		}
@@ -116,12 +93,12 @@ func TestCheckpointEquivalenceGeneratedCorpus(t *testing.T) {
 // TestCheckpointExtensionGeneratedCorpus pins delta resumes across trace
 // extensions: per seed the generated trace is cut at a random phase k, a
 // trail is recorded on the cut trace (runtime seeded from the cut trace),
-// and the full trace is resumed from it at neighboring budgets onto a
-// dirtied runtime seeded from the full trace. Every result must equal a
-// fresh run of the full trace field for field, journal bytes included.
-// Draws in which a hot spot first appears after k must be refused — their
-// forecast seeds differ — and their fallback recording run must be exact
-// too.
+// and the full trace is resumed from it onto a dirtied runtime seeded from
+// the full trace. At the recorded budget the resume must be field-exact
+// against a fresh run of the full trace, journal bytes included; the
+// neighbouring budgets must be refused. Draws in which a hot spot first
+// appears after k must be refused too — their forecast seeds differ. Every
+// refused run falls back to a recording run, which must be exact as well.
 func TestCheckpointExtensionGeneratedCorpus(t *testing.T) {
 	extended, refused := 0, 0
 	for seed := int64(0); seed < checkpointSeeds; seed++ {
@@ -154,14 +131,22 @@ func TestCheckpointExtensionGeneratedCorpus(t *testing.T) {
 		for _, sys := range oracle.Systems {
 			trail := new(sim.Trail)
 			rt := newRuntime(t, sys, is, acs, cut).(sim.Checkpointable)
+			at := rt.ContainerBudget() // software has no containers: 0
 			if err := sim.RunCompiledTrail(context.Background(), ctCut, rt,
 				sim.Options{Journal: new(bytes.Buffer)}, new(sim.Result), trail); err != nil {
 				t.Fatal(err)
 			}
 			for _, budget := range []int{acs, acs - 1, acs + 2} {
+				crt := newRuntime(t, sys, is, budget, tr).(sim.Checkpointable)
+				b := crt.ContainerBudget()
 				label := func() string {
 					return fmt.Sprintf("seed %d, system %s, cut %d/%d, budget %d (recorded at %d)",
-						seed, sys, k, len(tr.Phases), budget, acs)
+						seed, sys, k, len(tr.Phases), b, at)
+				}
+				if budget != at {
+					if d := trail.ResumeDepth(ct, budget, sim.Options{}); d != 0 {
+						t.Fatalf("%s: ResumeDepth %d at budget %d", label(), d, budget)
+					}
 				}
 				var wantJournal, gotJournal bytes.Buffer
 				var want, got sim.Result
@@ -170,10 +155,9 @@ func TestCheckpointExtensionGeneratedCorpus(t *testing.T) {
 					sim.Options{Journal: &wantJournal}, &want); err != nil {
 					t.Fatal(err)
 				}
-				if served, _ := trail.Serve(ct, budget, sim.Options{Journal: &gotJournal}, &got); served {
+				if served, _ := trail.Serve(ct, b, sim.Options{Journal: &gotJournal}, &got); served {
 					t.Fatalf("%s: a trail served a trace it did not record", label())
 				}
-				crt := newRuntime(t, sys, is, budget, tr).(sim.Checkpointable)
 				if err := sim.RunCompiled(context.Background(), ct, crt, sim.Options{}, new(sim.Result)); err != nil {
 					t.Fatal(err)
 				}
@@ -184,9 +168,11 @@ func TestCheckpointExtensionGeneratedCorpus(t *testing.T) {
 					t.Fatal(err)
 				}
 				switch {
+				case used && b != at:
+					t.Fatalf("%s: extended a trail recorded at another budget", label())
 				case newSpot && used:
 					t.Fatalf("%s: extended although a hot spot first appears after the prefix", label())
-				case !newSpot && budget == acs && !used:
+				case !newSpot && b == at && !used:
 					t.Fatalf("%s: refused a verified extension at the recorded budget", label())
 				}
 				if used {
@@ -206,7 +192,7 @@ func TestCheckpointExtensionGeneratedCorpus(t *testing.T) {
 				}
 				var skipJournal bytes.Buffer
 				var skip sim.Result
-				if served, err := rec.Serve(ct, budget, sim.Options{Journal: &skipJournal}, &skip); err != nil || !served {
+				if served, err := rec.Serve(ct, b, sim.Options{Journal: &skipJournal}, &skip); err != nil || !served {
 					t.Fatalf("%s: the full trace's trail cannot serve its own budget (served=%v err=%v)", label(), served, err)
 				}
 				if err := oracle.DiffResults(&want, &skip); err != nil {

@@ -93,10 +93,8 @@ type Array struct {
 	slots  []slot
 	loaded molecule.Vector
 	policy EvictionPolicy
-	rng    *rand.Rand // lazily (re)seeded; only EvictRandom ever draws
-
-	occupied int // occupied containers (an Atom never leaves except by eviction)
-	peakOcc  int // maximum occupancy since Reset, for budget-sensitivity
+	rng    *rand.Rand      // lazily (re)seeded; only EvictRandom ever draws
+	source *countingSource // rng's source
 
 	// Evictions counts Atoms displaced to make room for new loads.
 	Evictions int
@@ -115,17 +113,36 @@ func NewArray(n, dim int, policy EvictionPolicy, seed int64) *Array {
 	return a
 }
 
+// countingSource is the eviction RNG's source: it counts the values drawn
+// since seeding, so a restored array can fast-forward a reseeded source to
+// where the saved one stood.
+type countingSource struct {
+	src   rand.Source
+	draws int64
+}
+
+func (s *countingSource) Int63() int64 {
+	s.draws++
+	return s.src.Int63()
+}
+
+func (s *countingSource) Seed(seed int64) {
+	s.src.Seed(seed)
+	s.draws = 0
+}
+
 // seedRNG (re)establishes the deterministic eviction RNG. Only EvictRandom
 // ever draws from it, so the other policies skip the seeding entirely —
 // rand.Seed walks the full 607-word LFG state and showed up at ~6% of a
 // steady-state HEF run when paid on every Reset.
 func (a *Array) seedRNG(seed int64) {
 	if a.policy != EvictRandom {
-		a.rng = nil
+		a.rng, a.source = nil, nil
 		return
 	}
 	if a.rng == nil {
-		a.rng = rand.New(rand.NewSource(seed))
+		a.source = &countingSource{src: rand.NewSource(seed)}
+		a.rng = rand.New(a.source)
 		return
 	}
 	a.rng.Seed(seed)
@@ -140,8 +157,6 @@ func (a *Array) Reset(seed int64) {
 	}
 	a.loaded.Zero()
 	a.seedRNG(seed)
-	a.occupied = 0
-	a.peakOcc = 0
 	a.Evictions = 0
 }
 
@@ -232,21 +247,10 @@ func (a *Array) Install(atom isa.AtomID, needed molecule.Vector, now Cycle) {
 		evicted := a.slots[idx].atom
 		a.loaded[int(evicted)]--
 		a.Evictions++
-	} else {
-		a.occupied++
-		if a.occupied > a.peakOcc {
-			a.peakOcc = a.occupied
-		}
 	}
 	a.slots[idx] = slot{atom: atom, occupied: true, loadedAt: now, usedAt: now}
 	a.loaded[int(atom)]++
 }
-
-// PeakOccupancy returns the maximum number of simultaneously occupied
-// containers since Reset. An array of at least this size would have made
-// the identical install decisions (no eviction pressure below the peak),
-// which is what delta-resimulation's budget-transfer check needs.
-func (a *Array) PeakOccupancy() int { return a.peakOcc }
 
 // ArrayState is an opaque deep copy of an Array's mutable state, produced
 // by SaveInto and consumed by RestoreFrom. The arenas inside are reused
@@ -254,9 +258,8 @@ func (a *Array) PeakOccupancy() int { return a.peakOcc }
 type ArrayState struct {
 	slots     []slot
 	loaded    molecule.Vector
-	occupied  int
-	peakOcc   int
 	evictions int
+	draws     int64 // values the eviction RNG had produced since seeding
 }
 
 // SaveInto copies the array's complete mutable state into dst.
@@ -268,32 +271,28 @@ func (a *Array) SaveInto(dst *ArrayState) {
 		dst.loaded = dst.loaded[:a.dim]
 		dst.loaded.CopyFrom(a.loaded)
 	}
-	dst.occupied = a.occupied
-	dst.peakOcc = a.peakOcc
 	dst.evictions = a.Evictions
+	dst.draws = 0
+	if a.source != nil {
+		dst.draws = a.source.draws
+	}
 }
 
-// RestoreFrom overwrites the array's state with a saved one. The target may
-// have a different container count: saved occupied slots beyond the target's
-// size are rejected (the budget-transfer legality check guarantees the saved
-// occupancy fits), extra target slots are cleared. The eviction RNG is
-// reseeded to its power-on stream — a legal restore point precedes the first
-// eviction, so the source array had not drawn from it either.
+// RestoreFrom overwrites the array's state with one saved from an array of
+// the same size, policy and seed. The eviction RNG is reseeded and
+// fast-forwarded past the values the saved array had drawn, so a restored
+// EvictRandom array picks the same victims the saved one would have.
 func (a *Array) RestoreFrom(src *ArrayState, seed int64) {
-	n := copy(a.slots, src.slots)
-	for _, s := range src.slots[n:] {
-		if s.occupied {
-			panic("reconfig: RestoreFrom: saved occupancy exceeds target array size")
-		}
+	if len(src.slots) != len(a.slots) {
+		panic("reconfig: RestoreFrom: saved array has a different container count")
 	}
-	for i := n; i < len(a.slots); i++ {
-		a.slots[i] = slot{}
-	}
+	copy(a.slots, src.slots)
 	a.loaded.CopyFrom(src.loaded)
-	a.occupied = src.occupied
-	a.peakOcc = src.peakOcc
 	a.Evictions = src.evictions
 	a.seedRNG(seed)
+	for i := int64(0); i < src.draws; i++ {
+		a.source.Int63()
+	}
 }
 
 // PortState is an opaque deep copy of a Port's mutable state, produced by

@@ -1,7 +1,6 @@
 // Benchmarks of the delta-resimulation layer: recording overhead on top of
-// a plain run, the cost of a runtime-free full skip, a cross-budget partial
-// resume, and a resume across a trace extension. Tracked in
-// BENCH_baseline.json via benchcheck.
+// a plain run, the cost of a runtime-free full skip, and a resume across a
+// trace extension. Tracked in BENCH_baseline.json via benchcheck.
 package sim_test
 
 import (
@@ -23,8 +22,9 @@ func hefManagerAt(is *isa.ISA, ct *workload.Compiled, acs int) *core.Manager {
 }
 
 // BenchmarkRunCheckpointRecord is BenchmarkRunHEF with trail recording:
-// the delta to BenchmarkRunHEF is the pure snapshot overhead (state deep
-// copies at promoted phase boundaries into a reused Trail).
+// the delta to BenchmarkRunHEF is the pure snapshot overhead (one deep copy
+// of the runtime and Result state at the end of the run into a reused
+// Trail).
 func BenchmarkRunCheckpointRecord(b *testing.B) {
 	is, ct := compiledFrame(b, 1)
 	rt := hefManagerAt(is, ct, 10)
@@ -59,34 +59,6 @@ func BenchmarkRunDeltaServe(b *testing.B) {
 		}
 		if !served {
 			b.Fatal("trail did not serve its own budget")
-		}
-	}
-}
-
-// BenchmarkRunDeltaResume measures a cross-budget partial resume: a trail
-// recorded at 10 ACs resumed at 9, restoring the deepest transferable
-// snapshot and simulating only the remaining suffix of the trace.
-func BenchmarkRunDeltaResume(b *testing.B) {
-	is, ct := compiledFrame(b, 1)
-	rec := hefManagerAt(is, ct, 10)
-	var trail sim.Trail
-	if err := sim.RunCompiledTrail(context.Background(), ct, rec, sim.Options{}, new(sim.Result), &trail); err != nil {
-		b.Fatal(err)
-	}
-	rt := hefManagerAt(is, ct, 9)
-	if served, _ := trail.Serve(ct, 9, sim.Options{}, new(sim.Result)); served {
-		b.Skip("trail fully transfers to 9 ACs; no partial resume to measure")
-	}
-	var res sim.Result
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		used, err := sim.ResumeCompiled(context.Background(), ct, rt, sim.Options{}, &res, &trail, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !used {
-			b.Fatal("no transferable snapshot")
 		}
 	}
 }

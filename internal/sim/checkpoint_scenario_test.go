@@ -1,11 +1,10 @@
 // Delta-resimulation under ISA-switching scenario workloads: trails
-// recorded on a multi-app (merged-ISA) trace must transfer across budgets
-// field-exact — journal bytes included — and must refuse any compiled
-// trace that is not the very object they recorded.
+// recorded on a multi-app (merged-ISA) trace must serve their own budget
+// field-exact — journal bytes included — refuse every other budget, and
+// refuse any compiled trace that is not the very object they recorded.
 package sim_test
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
@@ -17,79 +16,23 @@ import (
 // TestTrailScenarioCrossBudget is TestTrailCrossBudgetEquivalence over the
 // scenario library's ISA-switch workloads: every shipped multiapp scenario
 // (cross-app eviction pressure, merged Atom spaces) and one control-flow
-// scenario, recorded at one budget and served/resumed at others, against
-// fresh from-power-on references.
+// scenario.
 func TestTrailScenarioCrossBudget(t *testing.T) {
-	names := []string{"video-crypto", "video-pip", "sdr-crypto", "early-exit-me"}
-	budgets := []int{4, 8, 12}
-	const recordAt = 8
-	for _, name := range names {
+	var ins []trailInput
+	for _, name := range []string{"video-crypto", "video-pip", "sdr-crypto", "early-exit-me"} {
 		sc, ok := scenario.Find(name)
 		if !ok {
 			t.Fatalf("scenario %s missing", name)
 		}
-		is := sc.ISA()
-		tr := sc.Trace(4, 1)
-		ct, err := workload.Compile(tr, is)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, system := range checkpointSystems {
-			t.Run(name+"/"+system, func(t *testing.T) {
-				trail := new(sim.Trail)
-				rt := checkpointRuntime(t, system, is, tr, recordAt)
-				var recJ bytes.Buffer
-				if err := sim.RunCompiledTrail(context.Background(), ct, rt,
-					sim.Options{Journal: &recJ}, new(sim.Result), trail); err != nil {
-					t.Fatal(err)
-				}
-				if !trail.Complete() {
-					t.Fatal("trail incomplete after successful run")
-				}
-				for _, budget := range budgets {
-					var refJ bytes.Buffer
-					ref := new(sim.Result)
-					if err := sim.RunCompiled(context.Background(), ct,
-						checkpointRuntime(t, system, is, tr, budget),
-						sim.Options{Journal: &refJ}, ref); err != nil {
-						t.Fatal(err)
-					}
-
-					var gotJ bytes.Buffer
-					got := new(sim.Result)
-					served, err := trail.Serve(ct, budget, sim.Options{Journal: &gotJ}, got)
-					if err != nil {
-						t.Fatal(err)
-					}
-					path := "serve"
-					if !served {
-						rec := new(sim.Trail)
-						rt := checkpointRuntime(t, system, is, tr, budget)
-						used, err := sim.ResumeCompiled(context.Background(), ct, rt,
-							sim.Options{Journal: &gotJ}, got, trail, rec)
-						if err != nil {
-							t.Fatal(err)
-						}
-						path = "resume"
-						if !used {
-							if err := sim.RunCompiledTrail(context.Background(), ct, rt,
-								sim.Options{Journal: &gotJ}, got, rec); err != nil {
-								t.Fatal(err)
-							}
-							path = "record-fallback"
-						}
-						if !rec.Complete() {
-							t.Fatalf("budget %d: re-recorded trail incomplete", budget)
-						}
-					}
-					requireSameRun(t, path, got, ref, gotJ.Bytes(), refJ.Bytes())
-					if budget == recordAt && !served {
-						t.Errorf("budget %d: recorded budget was not a full skip", budget)
-					}
-				}
-			})
-		}
+		ins = append(ins, trailInput{
+			name:     name + "/",
+			is:       sc.ISA(),
+			tr:       sc.Trace(4, 1),
+			budgets:  []int{4, 8, 12},
+			recordAt: 8,
+		})
 	}
+	testTrailBudgets(t, ins)
 }
 
 // TestTrailRefusesForeignTrace pins the trace-identity guard: a trail only

@@ -1,6 +1,6 @@
-// Tests for delta-resimulation: trails recorded at one container budget
-// must serve or resume runs at other budgets field-exact — journal bytes
-// included — against fresh from-power-on runs.
+// Tests for delta-resimulation: a trail must serve its own run and extend
+// to longer traces at its own budget field-exact — journal bytes included —
+// against fresh from-power-on runs, and refuse every other budget.
 package sim_test
 
 import (
@@ -75,102 +75,112 @@ func requireSameRun(t *testing.T, label string, got, want *sim.Result, gotJ, wan
 	}
 }
 
-// TestTrailCrossBudgetEquivalence records a trail at one budget and then
-// satisfies every other budget through the delta machinery (full skip where
-// legal, partial resume otherwise), comparing each against a fresh
-// from-power-on run with a journal attached. This is the core legality
-// property: restored prefixes must be indistinguishable from re-simulated
-// ones.
+// trailInput is a trace the budget tests record on, with the budgets they
+// ask for and the budget the RISPP and Molen trails record at.
+type trailInput struct {
+	name     string // subtest prefix
+	is       *isa.ISA
+	tr       *workload.Trace
+	budgets  []int
+	recordAt int
+}
+
+// TestTrailCrossBudgetEquivalence records trails on one H.264 frame at 10
+// ACs and at 0 ACs; see testTrailBudgets. TestTrailScenarioCrossBudget runs
+// the same cases on the scenario library's ISA-switch workloads.
 func TestTrailCrossBudgetEquivalence(t *testing.T) {
-	is := isa.H264()
-	tr := workload.H264(workload.H264Config{Frames: 1})
-	ct, err := workload.Compile(tr, is)
-	if err != nil {
+	testTrailBudgets(t, []trailInput{{
+		is:       isa.H264(),
+		tr:       workload.H264(workload.H264Config{Frames: 1}),
+		budgets:  []int{5, 10, 15, 24},
+		recordAt: 10,
+	}})
+}
+
+// testTrailBudgets records trails per input and system at the input's
+// budget and at 0 ACs, and requires each to serve its own budget
+// field-exact against a fresh from-power-on run, journal bytes included,
+// and to be refused for every other budget by Serve, ResumeDepth and
+// ResumeCompiled. A 0-AC trail is a legal RISPP or Molen point and must
+// never stand in for a nonzero budget; the software runtime has no
+// containers and records at 0 whatever it is asked for.
+func testTrailBudgets(t *testing.T, ins []trailInput) {
+	for _, in := range ins {
+		ct, err := workload.Compile(in.tr, in.is)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, system := range checkpointSystems {
+			t.Run(in.name+system, func(t *testing.T) {
+				recorded := map[int]bool{}
+				for _, acs := range []int{in.recordAt, 0} {
+					rt := checkpointRuntime(t, system, in.is, in.tr, acs)
+					at := rt.ContainerBudget()
+					if recorded[at] {
+						continue
+					}
+					recorded[at] = true
+					checkTrailBudgets(t, in, ct, system, rt, append([]int{0}, in.budgets...))
+				}
+			})
+		}
+	}
+}
+
+// checkTrailBudgets records a trail on rt and checks it against budgets:
+// the recorded one serves exactly, every other one is refused.
+func checkTrailBudgets(t *testing.T, in trailInput, ct *workload.Compiled, system string, rt sim.Checkpointable, budgets []int) {
+	t.Helper()
+	at := rt.ContainerBudget()
+	trail := new(sim.Trail)
+	var recJ bytes.Buffer
+	recRes := new(sim.Result)
+	if err := sim.RunCompiledTrail(context.Background(), ct, rt,
+		sim.Options{Journal: &recJ}, recRes, trail); err != nil {
 		t.Fatal(err)
 	}
-	budgets := []int{5, 10, 15, 24}
-	const recordAt = 10
+	if !trail.Complete() {
+		t.Fatal("trail not complete after successful run")
+	}
+	// The recording run itself must match a plain RunCompiled.
+	var refJ bytes.Buffer
+	ref := new(sim.Result)
+	if err := sim.RunCompiled(context.Background(), ct,
+		checkpointRuntime(t, system, in.is, in.tr, at),
+		sim.Options{Journal: &refJ}, ref); err != nil {
+		t.Fatal(err)
+	}
+	requireSameRun(t, "record", recRes, ref, recJ.Bytes(), refJ.Bytes())
 
-	for _, system := range checkpointSystems {
-		t.Run(system, func(t *testing.T) {
-			trail := new(sim.Trail)
-			var recJ bytes.Buffer
-			recRes := new(sim.Result)
-			rt := checkpointRuntime(t, system, is, tr, recordAt)
-			if err := sim.RunCompiledTrail(context.Background(), ct, rt,
-				sim.Options{Journal: &recJ}, recRes, trail); err != nil {
-				t.Fatal(err)
-			}
-			if !trail.Complete() {
-				t.Fatal("trail not complete after successful run")
-			}
+	var gotJ bytes.Buffer
+	got := new(sim.Result)
+	served, err := trail.Serve(ct, at, sim.Options{Journal: &gotJ}, got)
+	if err != nil || !served {
+		t.Fatalf("budget %d: Serve = %v, %v for the recorded budget", at, served, err)
+	}
+	requireSameRun(t, "serve", got, ref, gotJ.Bytes(), refJ.Bytes())
+	if d := trail.ResumeDepth(ct, at, sim.Options{}); d != len(ct.Phases) {
+		t.Errorf("budget %d: ResumeDepth = %d at the recorded budget, want %d", at, d, len(ct.Phases))
+	}
 
-			// The recording run itself must match a plain RunCompiled.
-			var wantJ bytes.Buffer
-			want := new(sim.Result)
-			if err := sim.RunCompiled(context.Background(), ct,
-				checkpointRuntime(t, system, is, tr, recordAt),
-				sim.Options{Journal: &wantJ}, want); err != nil {
-				t.Fatal(err)
-			}
-			requireSameRun(t, "record", recRes, want, recJ.Bytes(), wantJ.Bytes())
-
-			for _, budget := range budgets {
-				// Fresh reference at this budget.
-				var refJ bytes.Buffer
-				ref := new(sim.Result)
-				if err := sim.RunCompiled(context.Background(), ct,
-					checkpointRuntime(t, system, is, tr, budget),
-					sim.Options{Journal: &refJ}, ref); err != nil {
-					t.Fatal(err)
-				}
-
-				var gotJ bytes.Buffer
-				got := new(sim.Result)
-				served, err := trail.Serve(ct, budget, sim.Options{Journal: &gotJ}, got)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if budget == recordAt && !served {
-					t.Fatalf("budget %d: Serve failed for the recorded budget", budget)
-				}
-				path := "serve"
-				if !served {
-					rec := new(sim.Trail)
-					rt := checkpointRuntime(t, system, is, tr, budget)
-					used, err := sim.ResumeCompiled(context.Background(), ct, rt,
-						sim.Options{Journal: &gotJ}, got, trail, rec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					path = "resume"
-					if !used {
-						// No transferable prefix: fall back to a full
-						// recording run, like the Runner does.
-						if err := sim.RunCompiledTrail(context.Background(), ct, rt,
-							sim.Options{Journal: &gotJ}, got, rec); err != nil {
-							t.Fatal(err)
-						}
-						path = "record-fallback"
-					}
-					if !rec.Complete() {
-						t.Fatalf("budget %d: re-recorded trail incomplete", budget)
-					}
-					// The re-recorded trail must now full-skip this budget.
-					var skipJ bytes.Buffer
-					skip := new(sim.Result)
-					served2, err := rec.Serve(ct, budget, sim.Options{Journal: &skipJ}, skip)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !served2 {
-						t.Fatalf("budget %d: re-recorded trail cannot serve its own budget", budget)
-					}
-					requireSameRun(t, "re-serve", skip, ref, skipJ.Bytes(), refJ.Bytes())
-				}
-				requireSameRun(t, path, got, ref, gotJ.Bytes(), refJ.Bytes())
-			}
-		})
+	for _, budget := range budgets {
+		if budget == at {
+			continue
+		}
+		if served, _ := trail.Serve(ct, budget, sim.Options{}, new(sim.Result)); served {
+			t.Errorf("trail recorded at %d ACs served %d", at, budget)
+		}
+		if d := trail.ResumeDepth(ct, budget, sim.Options{}); d != 0 {
+			t.Errorf("trail recorded at %d ACs: ResumeDepth = %d at %d, want 0", at, d, budget)
+		}
+		other := checkpointRuntime(t, system, in.is, in.tr, budget)
+		if other.ContainerBudget() != budget {
+			continue // software: every runtime is at budget 0
+		}
+		used, err := sim.ResumeCompiled(context.Background(), ct, other, sim.Options{}, new(sim.Result), trail, nil)
+		if used || err != nil {
+			t.Errorf("trail recorded at %d ACs: ResumeCompiled at %d = %v, %v; want false, nil", at, budget, used, err)
+		}
 	}
 }
 
@@ -253,9 +263,11 @@ func TestTrailRejectsIneligibleOptions(t *testing.T) {
 
 // TestTrailPhaseCountMismatch: a trail recorded on a 1-frame trace never
 // serves the 2-frame trace (Serve is identity-only), but ResumeCompiled
-// extends it — the 2-frame trace begins with the 1-frame one phase for
-// phase — and the extended run, plus the trail it records, must match a
-// fresh 2-frame run field for field, journal bytes included.
+// extends it at the recorded budget — the 2-frame trace begins with the
+// 1-frame one phase for phase — and the extended run, plus the trail it
+// records, must match a fresh 2-frame run field for field, journal bytes
+// included. Every other budget is refused. The software runtime records
+// at its budget 0 and extends like the rest.
 func TestTrailPhaseCountMismatch(t *testing.T) {
 	is := isa.H264()
 	tr1 := workload.H264(workload.H264Config{Frames: 1})
@@ -268,18 +280,34 @@ func TestTrailPhaseCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const recordAt = 10
 	for _, system := range checkpointSystems {
 		t.Run(system, func(t *testing.T) {
 			trail := new(sim.Trail)
-			if err := sim.RunCompiledTrail(context.Background(), ct1,
-				checkpointRuntime(t, system, is, tr1, recordAt),
+			rt := checkpointRuntime(t, system, is, tr1, 10)
+			recordAt := rt.ContainerBudget()
+			if err := sim.RunCompiledTrail(context.Background(), ct1, rt,
 				sim.Options{Journal: new(bytes.Buffer)}, new(sim.Result), trail); err != nil {
 				t.Fatal(err)
 			}
 			for _, budget := range []int{recordAt, 5, 15} {
 				if served, _ := trail.Serve(ct2, budget, sim.Options{}, new(sim.Result)); served {
 					t.Fatalf("budget %d: trail served a trace with a different phase count", budget)
+				}
+				depth := trail.ResumeDepth(ct2, budget, sim.Options{Journal: new(bytes.Buffer)})
+				if budget != recordAt {
+					if depth != 0 {
+						t.Fatalf("budget %d: ResumeDepth = %d for a trail recorded at %d, want 0", budget, depth, recordAt)
+					}
+					if other := checkpointRuntime(t, system, is, tr2, budget); other.ContainerBudget() == budget {
+						if used, _ := sim.ResumeCompiled(context.Background(), ct2, other,
+							sim.Options{}, new(sim.Result), trail, nil); used {
+							t.Fatalf("budget %d: extended a trail recorded at %d", budget, recordAt)
+						}
+					}
+					continue
+				}
+				if depth != len(ct1.Phases) {
+					t.Fatalf("budget %d: ResumeDepth = %d, want the whole prefix (%d phases)", budget, depth, len(ct1.Phases))
 				}
 				var refJ, gotJ bytes.Buffer
 				ref := new(sim.Result)
@@ -289,37 +317,20 @@ func TestTrailPhaseCountMismatch(t *testing.T) {
 					t.Fatal(err)
 				}
 				got, rec := new(sim.Result), new(sim.Trail)
-				rt := checkpointRuntime(t, system, is, tr2, budget)
-				used, err := sim.ResumeCompiled(context.Background(), ct2, rt,
+				used, err := sim.ResumeCompiled(context.Background(), ct2,
+					checkpointRuntime(t, system, is, tr2, budget),
 					sim.Options{Journal: &gotJ}, got, trail, rec)
-				if err != nil {
-					t.Fatal(err)
+				if err != nil || !used {
+					t.Fatalf("budget %d: ResumeCompiled = %v, %v; want true, nil", budget, used, err)
 				}
-				depth := trail.ResumeDepth(ct2, budget, sim.Options{Journal: &gotJ})
-				if used != (depth > 0) {
-					t.Fatalf("budget %d: ResumeCompiled used=%v but ResumeDepth=%d", budget, used, depth)
-				}
-				// At the recorded budget the whole 1-frame run transfers, the
-				// stateless software runtime's included.
-				if budget == recordAt && depth != len(ct1.Phases) {
-					t.Fatalf("budget %d: ResumeDepth = %d, want the whole prefix (%d phases)", budget, depth, len(ct1.Phases))
-				}
-				path := "extend"
-				if !used {
-					path = "record-fallback"
-					if err := sim.RunCompiledTrail(context.Background(), ct2, rt,
-						sim.Options{Journal: &gotJ}, got, rec); err != nil {
-						t.Fatal(err)
-					}
-				}
-				requireSameRun(t, path, got, ref, gotJ.Bytes(), refJ.Bytes())
+				requireSameRun(t, "extend", got, ref, gotJ.Bytes(), refJ.Bytes())
 				// The extended trail belongs to the 2-frame trace now.
 				var skipJ bytes.Buffer
 				skip := new(sim.Result)
 				if served, err := rec.Serve(ct2, budget, sim.Options{Journal: &skipJ}, skip); err != nil || !served {
 					t.Fatalf("budget %d: extended trail cannot serve its own run: served=%v err=%v", budget, served, err)
 				}
-				requireSameRun(t, path+"/re-serve", skip, ref, skipJ.Bytes(), refJ.Bytes())
+				requireSameRun(t, "extend/re-serve", skip, ref, skipJ.Bytes(), refJ.Bytes())
 			}
 		})
 	}
@@ -353,33 +364,6 @@ func TestTrailRefusesTruncation(t *testing.T) {
 	}
 	if d := trail.ResumeDepth(ct1, 10, sim.Options{}); d != 0 {
 		t.Errorf("ResumeDepth on the truncated trace = %d, want 0", d)
-	}
-}
-
-// TestSoftwareTrailServesAllBudgets: the software runtime is completely
-// budget-insensitive, so one trail full-skips every budget.
-func TestSoftwareTrailServesAllBudgets(t *testing.T) {
-	is := isa.H264()
-	tr := workload.H264(workload.H264Config{Frames: 1})
-	ct, err := workload.Compile(tr, is)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trail := new(sim.Trail)
-	res := new(sim.Result)
-	rt := checkpointRuntime(t, "software", is, tr, 0)
-	if err := sim.RunCompiledTrail(context.Background(), ct, rt, sim.Options{}, res, trail); err != nil {
-		t.Fatal(err)
-	}
-	for _, budget := range []int{0, 5, 24, 1000} {
-		got := new(sim.Result)
-		served, err := trail.Serve(ct, budget, sim.Options{}, got)
-		if err != nil || !served {
-			t.Fatalf("budget %d: Serve = %v, %v; want true, nil", budget, served, err)
-		}
-		if got.TotalCycles != res.TotalCycles {
-			t.Errorf("budget %d: TotalCycles = %d, want %d", budget, got.TotalCycles, res.TotalCycles)
-		}
 	}
 }
 

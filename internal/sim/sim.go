@@ -269,6 +269,13 @@ func RunContext(ctx context.Context, tr *workload.Trace, is *isa.ISA, rt Runtime
 func RunCompiled(ctx context.Context, ct *workload.Compiled, rt Runtime, opts Options, res *Result) error {
 	rt.Reset()
 	res.reset(rt.Name(), ct.NumSIs, len(ct.Phases), opts)
+	return runFrom(ctx, ct, rt, opts, res, 0, 0)
+}
+
+// runFrom simulates phases from..len(ct.Phases)-1 of ct on rt, starting at
+// cycle now, into res: from power-on (RunCompiled) or from a restored trail
+// (ResumeCompiled). The journal, if any, is flushed before it returns.
+func runFrom(ctx context.Context, ct *workload.Compiled, rt Runtime, opts Options, res *Result, from int, now int64) error {
 	var js *journalState
 	if opts.Journal != nil {
 		js = newJournalState(opts.Journal)
@@ -279,9 +286,10 @@ func RunCompiled(ctx context.Context, ct *workload.Compiled, rt Runtime, opts Op
 		rt:        rt,
 		res:       res,
 		js:        js,
+		now:       now,
 		maxCycles: opts.MaxCycles,
 	}
-	err := r.run(ct)
+	err := r.run(ct, from)
 	if js != nil {
 		if jerr := js.close(); err == nil {
 			err = jerr
@@ -301,7 +309,6 @@ type runner struct {
 	now       int64
 	maxCycles int64
 	cancelErr error
-	rec       *trailRec // non-nil when recording a checkpoint trail
 }
 
 func (r *runner) canceled() bool {
@@ -355,8 +362,8 @@ func (r *runner) drain(limit int64, spot []isa.SIID) {
 	}
 }
 
-func (r *runner) run(ct *workload.Compiled) error {
-	for pi := range ct.Phases {
+func (r *runner) run(ct *workload.Compiled, from int) error {
+	for pi := from; pi < len(ct.Phases); pi++ {
 		if err := r.runPhase(ct, pi); err != nil {
 			return err
 		}
@@ -365,8 +372,7 @@ func (r *runner) run(ct *workload.Compiled) error {
 	return nil
 }
 
-// runPhase executes one hot-spot phase of the compiled trace; a resumed
-// run (ResumeCompiled) enters the phase loop mid-trace through it.
+// runPhase executes one hot-spot phase of the compiled trace.
 func (r *runner) runPhase(ct *workload.Compiled, pi int) error {
 	rt, res := r.rt, r.res
 	if r.canceled() {
@@ -427,9 +433,6 @@ func (r *runner) runPhase(ct *workload.Compiled, pi int) error {
 		r.js.emit(JournalEvent{Cycle: r.now, Event: "leave", HotSpot: int(p.HotSpot)})
 	}
 	res.Phases = append(res.Phases, PhaseStat{HotSpot: p.HotSpot, Start: phaseStart, End: r.now})
-	if r.rec != nil {
-		r.rec.boundary(r, pi+1)
-	}
 	return nil
 }
 
@@ -449,10 +452,9 @@ func (r *swRuntime) Record(isa.SIID, int64, int64)     {}
 func (r *swRuntime) NextEvent() (int64, bool)          { return 0, false }
 func (r *swRuntime) Advance(int64)                     { panic("sim: software runtime has no events") }
 
-// The software runtime has no mutable state at all, so it checkpoints
-// trivially and every prefix transfers to every budget.
-func (r *swRuntime) ContainerBudget() int           { return 0 }
-func (r *swRuntime) NewState() any                  { return nil }
-func (r *swRuntime) SaveState(any)                  {}
-func (r *swRuntime) RestoreState(any)               {}
-func (r *swRuntime) BudgetSensitivity() (int, bool) { return 0, true }
+// The software runtime has no containers and no mutable state, so its
+// budget is 0 and it checkpoints trivially.
+func (r *swRuntime) ContainerBudget() int { return 0 }
+func (r *swRuntime) NewState() any        { return nil }
+func (r *swRuntime) SaveState(any)        {}
+func (r *swRuntime) RestoreState(any)     {}

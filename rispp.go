@@ -90,9 +90,10 @@ type Config struct {
 	// DisableDelta turns off delta-resimulation in Runner-based paths
 	// (RunPoint and everything built on it: the engine adapters, Explorer,
 	// the serving layer): every point then simulates from power-on even
-	// when a recorded checkpoint trail could serve it. Results are
-	// identical either way; the knob exists for benchmarking the raw
-	// simulator and for tests that pin runtime-pool behavior.
+	// when its own checkpoint trail could serve it or a shorter trace's
+	// trail could be extended to it. Results are identical either way; the
+	// knob exists for benchmarking the raw simulator and for tests that pin
+	// runtime-pool behavior.
 	DisableDelta bool
 }
 
@@ -198,7 +199,13 @@ func RunContext(ctx context.Context, cfg Config) (*sim.Result, error) {
 // allocating. The pool is keyed by everything that distinguishes one
 // runtime build from another under a fixed base config — scheduler, #ACs,
 // forecast seeding, prefetching, and the workload knobs (forecast seeds
-// derive from the trace).
+// derive from the trace). Software points ignore NumACs, so all their
+// budgets share one key.
+//
+// Unless Config.DisableDelta is set, every eligible run also leaves a
+// checkpoint trail (sim.Trail) under its runtime key: a repeat of the point
+// is served from it without simulating, and a longer trace of the same
+// workload family at the same budget resumes from it (see DeltaStats).
 type Runner struct {
 	base     Config
 	memo     bool      // trace memo + runtime pool are sound (no Bus rewrite)
@@ -209,11 +216,11 @@ type Runner struct {
 	poolHits, poolMisses atomic.Int64
 
 	// trails holds completed delta-resimulation trails (sim.Trail) keyed by
-	// everything that distinguishes runs EXCEPT the container budget and the
-	// frame count — the two axes trails transfer across. Only complete
-	// trails are stored, and a complete trail is immutable, so reading one
-	// needs no lock.
-	trails                               sync.Map // trailKey → *trailSet
+	// the runtime key with the frame count zeroed: a trail serves its own
+	// point and extends to longer traces of its workload family, both at
+	// its own budget. Only complete trails are stored, and a complete trail
+	// is immutable, so reading one needs no lock.
+	trails                               sync.Map // runtimeKey (Frames zeroed) → *trailSet
 	deltaServes, deltaResumes, deltaRecs atomic.Int64
 }
 
@@ -227,26 +234,16 @@ type workKey struct {
 	knobs    workload.H264Config
 }
 
-// trailKey is runtimeKey minus the budget axis and the frame count: two
-// runs with equal trail keys differ at most in NumACs and in how many
-// frames of one workload family they run — the differences
-// delta-resimulation bridges. The frame count is only a candidate filter:
-// whether a shorter run's trail really prefixes a longer trace is decided
-// by sim, per compiled-trace pair (workload.Compiled.Extends).
-type trailKey struct {
-	scheduler     string
-	seedForecasts bool
-	prefetch      bool
-	work          workKey // knobs.Frames zeroed
-}
-
-// trailEntry is one stored trail with the point coordinates it serves.
+// trailEntry is one stored trail with the frame count it recorded.
 type trailEntry struct {
-	frames, budget int
-	t              *sim.Trail
+	frames int
+	t      *sim.Trail
 }
 
-// trailSet holds the recorded trails of one trail class. entries is
+// trailSet holds the recorded trails of one runtime key's workload family,
+// one per frame count. The frame count is only a candidate filter: whether
+// a shorter run's trail really prefixes a longer trace is decided by sim,
+// per compiled-trace pair (workload.Compiled.Extends). entries is
 // append-only, so a reader copies the slice header under the mutex and then
 // walks the entries without it: stored entries never change, and the
 // trails are immutable once stored.
@@ -277,18 +274,18 @@ func (ts *trailSet) deepest(ct *workload.Compiled, budget int, opts sim.Options)
 	return best, depth
 }
 
-// store records the complete trail for (frames, budget), first-wins: under
+// store records the complete trail for frames, first-wins: under
 // concurrent recording of the same point the earliest trail sticks and
 // later ones are dropped (all are field-exact equivalent).
-func (ts *trailSet) store(frames, budget int, t *sim.Trail) {
+func (ts *trailSet) store(frames int, t *sim.Trail) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	for _, e := range ts.entries {
-		if e.frames == frames && e.budget == budget {
+		if e.frames == frames {
 			return
 		}
 	}
-	ts.entries = append(ts.entries, trailEntry{frames: frames, budget: budget, t: t})
+	ts.entries = append(ts.entries, trailEntry{frames: frames, t: t})
 }
 
 // runtimePool is a per-key free list of idle runtimes. Unlike sync.Pool it
@@ -362,10 +359,10 @@ func (r *Runner) RuntimePoolStats() (hits, misses int64) {
 
 // DeltaStats reports how RunPoint requests were satisfied by the
 // delta-resimulation layer: serves completed without simulating at all
-// (a recorded trail transferred end to end), resumes re-simulated only a
-// suffix of the trace, and records simulated from power-on while recording
-// a new trail. Requests with delta off (DisableDelta, ineligible Collect
-// options, or a Bus-rewritten workload) count as none of the three.
+// (the point's own trail), resumes simulated only the phases a shorter
+// trace's trail lacked, and records simulated from power-on while
+// recording a new trail. Requests with delta off (DisableDelta, ineligible
+// Collect options, or a Bus-rewritten workload) count as none of the three.
 func (r *Runner) DeltaStats() (serves, resumes, records int64) {
 	return r.deltaServes.Load(), r.deltaResumes.Load(), r.deltaRecs.Load()
 }
@@ -377,31 +374,24 @@ func (r *Runner) deltaOn(cfg *Config) bool {
 	return r.memo && !cfg.DisableDelta && sim.DeltaEligible(cfg.Collect)
 }
 
-// trailSetFor returns the (lazily created) trail set of cfg's trail class.
-func (r *Runner) trailSetFor(cfg *Config, key workKey) *trailSet {
-	key.knobs.Frames = 0
-	tk := trailKey{
-		scheduler:     cfg.Scheduler,
-		seedForecasts: cfg.SeedForecasts,
-		prefetch:      cfg.Prefetch,
-		work:          key,
-	}
-	v, ok := r.trails.Load(tk)
+// trailSetFor returns the (lazily created) trail set of key's workload
+// family.
+func (r *Runner) trailSetFor(key runtimeKey) *trailSet {
+	key.work.knobs.Frames = 0
+	v, ok := r.trails.Load(key)
 	if !ok {
-		v, _ = r.trails.LoadOrStore(tk, new(trailSet))
+		v, _ = r.trails.LoadOrStore(key, new(trailSet))
 	}
 	return v.(*trailSet)
 }
 
 // runPointDelta is RunPoint through the delta-resimulation layer: serve the
-// point from a recorded trail when one transfers end to end (no runtime at
-// all), otherwise resume from the deepest transferable rung among all the
-// class's trails — other budgets of this trace, and trails of shorter
-// traces this one verifiably extends — falling back to a full recording
-// run, and store the resulting trail so future requests for this point
-// full-skip.
-func (r *Runner) runPointDelta(ctx context.Context, cfg *Config, key workKey, ct *workload.Compiled, res *sim.Result) error {
-	ts := r.trailSetFor(cfg, key)
+// point from its own recorded trail (no runtime at all), otherwise resume
+// from the trail of the longest shorter trace this one verifiably extends,
+// falling back to a full recording run, and store the resulting trail so
+// future requests for this point are served.
+func (r *Runner) runPointDelta(ctx context.Context, cfg *Config, key runtimeKey, ct *workload.Compiled, res *sim.Result) error {
+	ts := r.trailSetFor(key)
 	best, depth := ts.deepest(ct, cfg.NumACs, cfg.Collect)
 	if best != nil && depth == len(ct.Phases) {
 		served, err := best.Serve(ct, cfg.NumACs, cfg.Collect, res)
@@ -413,22 +403,11 @@ func (r *Runner) runPointDelta(ctx context.Context, cfg *Config, key workKey, ct
 		}
 	}
 
-	rt, pool, err := r.runtime(cfg, runtimeKey{
-		scheduler:     cfg.Scheduler,
-		numACs:        cfg.NumACs,
-		seedForecasts: cfg.SeedForecasts,
-		prefetch:      cfg.Prefetch,
-		work:          key,
-	}, ct)
+	rt, pool, err := r.runtime(cfg, key, ct)
 	if err != nil {
 		return err
 	}
-	crt, ok := rt.(sim.Checkpointable)
-	if !ok { // custom runtime without checkpoint support
-		err = sim.RunCompiled(ctx, ct, rt, cfg.Collect, res)
-		r.putRuntime(pool, rt)
-		return err
-	}
+	crt := rt.(sim.Checkpointable) // every runtime NewRuntime builds is
 	rec := new(sim.Trail)
 	resumed := false
 	if best != nil {
@@ -446,7 +425,7 @@ func (r *Runner) runPointDelta(ctx context.Context, cfg *Config, key workKey, ct
 	} else {
 		r.deltaRecs.Add(1)
 	}
-	ts.store(key.knobs.Frames, cfg.NumACs, rec)
+	ts.store(key.work.knobs.Frames, rec)
 	return nil
 }
 
@@ -507,8 +486,13 @@ func (r *Runner) pointConfig(p explore.Point, collect sim.Options) (Config, work
 	cfg.SeedForecasts = p.SeedForecasts
 	cfg.Prefetch = p.Prefetch
 	cfg.Collect = collect
-	if cfg.Scheduler == "" {
+	switch cfg.Scheduler {
+	case "":
 		cfg.Scheduler = "HEF"
+	case "software":
+		// NumACs is ignored for software, so every budget shares one
+		// runtime pool and one trail.
+		cfg.NumACs = 0
 	}
 	var key workKey
 	switch {
@@ -610,16 +594,17 @@ func (r *Runner) RunPoint(ctx context.Context, p explore.Point, collect sim.Opti
 	if err != nil {
 		return err
 	}
-	if r.deltaOn(&cfg) {
-		return r.runPointDelta(ctx, &cfg, key, ct, res)
-	}
-	rt, pool, err := r.runtime(&cfg, runtimeKey{
+	rk := runtimeKey{
 		scheduler:     cfg.Scheduler,
 		numACs:        cfg.NumACs,
 		seedForecasts: cfg.SeedForecasts,
 		prefetch:      cfg.Prefetch,
 		work:          key,
-	}, ct)
+	}
+	if r.deltaOn(&cfg) {
+		return r.runPointDelta(ctx, &cfg, rk, ct, res)
+	}
+	rt, pool, err := r.runtime(&cfg, rk, ct)
 	if err != nil {
 		return err
 	}
