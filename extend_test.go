@@ -31,11 +31,14 @@ func extendSpec() explore.Spec {
 // requires the journal bytes of every extended point to match too. Each
 // eviction policy runs as its own base config: an extension restores a
 // state after evictions, so the random policy's RNG must resume where the
-// recorded run left it.
+// recorded run left it. A base Bus is the fourth input: it stretches every
+// generated trace and the reconfiguration timing, and trails must extend
+// across the stretched traces just the same.
 func TestDeltaExtendSweepMatchesDisabled(t *testing.T) {
 	for _, pol := range []reconfig.EvictionPolicy{reconfig.EvictLRU, reconfig.EvictFIFO, reconfig.EvictRandom} {
 		t.Run(pol.String(), func(t *testing.T) { testDeltaExtendSweep(t, Config{Eviction: pol}) })
 	}
+	t.Run("bus", func(t *testing.T) { testDeltaExtendSweep(t, Config{Bus: contendedBus()}) })
 }
 
 func testDeltaExtendSweep(t *testing.T, base Config) {

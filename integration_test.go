@@ -1,8 +1,9 @@
-package rispp
+package rispp_test
 
 import (
 	"testing"
 
+	"rispp"
 	"rispp/internal/experiments"
 	"rispp/internal/video"
 )
@@ -48,7 +49,7 @@ func TestVideoDrivenEndToEnd(t *testing.T) {
 
 	totals := map[string]int64{}
 	for _, system := range []string{"HEF", "Molen", "software"} {
-		res, err := Run(Config{Workload: tr, Scheduler: system, NumACs: 12, SeedForecasts: true})
+		res, err := rispp.Run(rispp.Config{Workload: tr, Scheduler: system, NumACs: 12, SeedForecasts: true})
 		if err != nil {
 			t.Fatal(err)
 		}

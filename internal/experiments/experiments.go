@@ -1,26 +1,25 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 5). Each experiment returns structured data plus a
 // rendered text block; cmd/risppbench prints them and bench_test.go wraps
-// them in testing.B benchmarks.
+// them in testing.B benchmarks. Simulations run through the library's own
+// run path: single runs through rispp.Run, the Figure 7 and Table 2 grids
+// through rispp.Explorer.
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
+	"rispp"
 	"rispp/internal/explore"
 	"rispp/internal/isa"
 	"rispp/internal/molecule"
-	"rispp/internal/molen"
 	"rispp/internal/reconfig"
 	"rispp/internal/sched"
 	"rispp/internal/sim"
 	"rispp/internal/stats"
 	"rispp/internal/workload"
-
-	"rispp/internal/core"
 )
 
 // Params controls experiment sizing; the zero value reproduces the paper's
@@ -48,46 +47,22 @@ func (p *Params) setDefaults() {
 	}
 }
 
-// newRISPP builds a seeded RISPP manager.
-func newRISPP(is *isa.ISA, tr *workload.Trace, scheduler string, acs int) *core.Manager {
-	s, err := sched.New(scheduler)
-	if err != nil {
-		panic(err)
-	}
-	m := core.NewManager(core.Config{ISA: is, NumACs: acs, Scheduler: s})
-	m.SeedFromTrace(tr)
-	return m
-}
-
-// newMolen builds a seeded Molen-like baseline.
-func newMolen(is *isa.ISA, tr *workload.Trace, acs int) *molen.Runtime {
-	r := molen.New(molen.Config{ISA: is, NumACs: acs})
-	r.SeedFromTrace(tr)
-	return r
-}
-
-// runPoint simulates one (system, ACs) cell.
-func runPoint(is *isa.ISA, tr *workload.Trace, system string, acs int, opts sim.Options) *sim.Result {
-	var rt sim.Runtime
-	if system == "Molen" {
-		rt = newMolen(is, tr, acs)
-	} else {
-		rt = newRISPP(is, tr, system, acs)
-	}
-	res, err := sim.Run(tr, is, rt, opts)
+// run simulates one (system, ACs) cell through the library's run path,
+// with forecasts seeded from the trace.
+func run(is *isa.ISA, tr *workload.Trace, system string, acs int, opts sim.Options) *sim.Result {
+	res, err := rispp.Run(rispp.Config{ISA: is, Workload: tr, Scheduler: system, NumACs: acs,
+		SeedForecasts: true, Collect: opts})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %s/%d ACs: %v", system, acs, err))
 	}
 	return res
 }
 
-// sweep runs systems × ACs through the exploration engine: parallel on a
-// bounded worker pool (ISA and trace are read-only during simulation), with
-// optional result caching keyed by the full design point. The trace is
-// compiled once for the whole sweep and Result buffers are pooled, so each
-// point only pays for runtime construction and simulation.
-func sweep(is *isa.ISA, tr *workload.Trace, systems []string, acs []int, p Params) map[string]map[int]int64 {
-	var cache explore.Store // non-nil only when a directory is configured
+// sweep runs systems × p.ACs over the p.Frames-frame H.264 encode through
+// rispp.Explorer: parallel on a bounded worker pool, with optional result
+// caching keyed by the full design point — the keys risppexplore writes.
+func sweep(systems []string, p Params) map[string]map[int]int64 {
+	var cache *explore.Cache
 	if p.CacheDir != "" {
 		c, err := explore.OpenCache(p.CacheDir)
 		if err != nil {
@@ -95,43 +70,10 @@ func sweep(is *isa.ISA, tr *workload.Trace, systems []string, acs []int, p Param
 		}
 		cache = c
 	}
-	ct, err := workload.Compile(tr, is)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: compile trace: %v", err))
-	}
-	var results sync.Pool
-	eng := &explore.Engine{
-		Workers: p.Workers,
-		Cache:   cache,
-		Run: func(ctx context.Context, pt explore.Point) (explore.Metrics, error) {
-			var rt sim.Runtime
-			if pt.Scheduler == "Molen" {
-				rt = newMolen(is, tr, pt.NumACs)
-			} else {
-				rt = newRISPP(is, tr, pt.Scheduler, pt.NumACs)
-			}
-			res, _ := results.Get().(*sim.Result)
-			if res == nil {
-				res = new(sim.Result)
-			}
-			if err := sim.RunCompiled(ctx, ct, rt, sim.Options{}, res); err != nil {
-				results.Put(res)
-				return explore.Metrics{}, err
-			}
-			m := explore.Metrics{
-				TotalCycles:  res.TotalCycles,
-				StallCycles:  res.StallCycles,
-				SWExecutions: res.TotalSWExecutions(),
-				HWExecutions: res.TotalHWExecutions(),
-			}
-			results.Put(res)
-			return m, nil
-		},
-	}
 	// Frames is part of the point so that cached results from differently
 	// sized sweeps can never collide.
-	spec := explore.Spec{Schedulers: systems, ACs: acs, Frames: []int{p.Frames}}
-	r, err := eng.Execute(context.Background(), spec, nil)
+	spec := explore.Spec{Schedulers: systems, ACs: p.ACs, Frames: []int{p.Frames}}
+	r, err := rispp.Explorer(rispp.Config{}, p.Workers, cache).Execute(context.Background(), spec, nil)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: sweep: %v", err))
 	}
@@ -168,8 +110,8 @@ func Fig2() *Fig2Result {
 	me := &workload.Trace{Name: "me-hotspot", Phases: full.Phases[:1]}
 	opts := sim.Options{HistogramBucket: 100_000, Timeline: true}
 
-	withUp := runPoint(is, me, "HEF", 12, opts)
-	withoutUp := runPoint(is, me, "Molen", 12, opts)
+	withUp := run(is, me, "HEF", 12, opts)
+	withoutUp := run(is, me, "Molen", 12, opts)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 2 — %d SI executions (SAD+SATD) of the ME hot spot, 12 ACs\n\n",
@@ -326,9 +268,7 @@ type Fig7Result struct {
 // encoding the CIF sequence.
 func Fig7(p Params) *Fig7Result {
 	p.setDefaults()
-	is := isa.H264()
-	tr := workload.H264(workload.H264Config{Frames: p.Frames})
-	cycles := sweep(is, tr, sched.Names, p.ACs, p)
+	cycles := sweep(sched.Names, p)
 
 	tb := &stats.Table{Header: append([]string{"#ACs"}, sched.Names...)}
 	for _, n := range p.ACs {
@@ -361,9 +301,7 @@ type Table2Result struct {
 // Molen-like baseline over the AC range.
 func Table2(p Params) *Table2Result {
 	p.setDefaults()
-	is := isa.H264()
-	tr := workload.H264(workload.H264Config{Frames: p.Frames})
-	cycles := sweep(is, tr, []string{"ASF", "HEF", "Molen"}, p.ACs, p)
+	cycles := sweep([]string{"ASF", "HEF", "Molen"}, p)
 
 	r := &Table2Result{ACs: p.ACs}
 	tb := &stats.Table{Header: []string{"#ACs", "HEF vs ASF", "ASF vs Molen", "HEF vs Molen"}}
@@ -403,7 +341,7 @@ func Fig8() *Fig8Result {
 	is := isa.H264()
 	full := workload.H264(workload.H264Config{Frames: 1})
 	two := &workload.Trace{Name: "me+ee", Phases: full.Phases[:2]}
-	res := runPoint(is, two, "HEF", 10, sim.Options{HistogramBucket: 100_000, Timeline: true})
+	res := run(is, two, "HEF", 10, sim.Options{HistogramBucket: 100_000, Timeline: true})
 
 	watch := []isa.SIID{isa.SISAD, isa.SISATD, isa.SIMC, isa.SIDCT}
 	var b strings.Builder
@@ -435,12 +373,7 @@ func Fig8() *Fig8Result {
 // encode, the paper's 7,403M cycles.
 func SoftwareBaseline(p Params) (*sim.Result, string) {
 	p.setDefaults()
-	is := isa.H264()
-	tr := workload.H264(workload.H264Config{Frames: p.Frames})
-	res, err := sim.Run(tr, is, sim.Software(is), sim.Options{})
-	if err != nil {
-		panic(err)
-	}
+	res := run(isa.H264(), workload.H264(workload.H264Config{Frames: p.Frames}), "software", 0, sim.Options{})
 	txt := fmt.Sprintf("Pure software (0 ACs), %d frames: %d cycles (paper: 7,403M for 140 frames)\n",
 		p.Frames, res.TotalCycles)
 	return res, txt

@@ -92,7 +92,8 @@ func BenchmarkRunJournal(b *testing.B) {
 // fresh caller-owned *Result back (so it cannot come from a pool — 4
 // allocations: the struct, the fused dense counter backing, journal
 // scratch, phase stats) and compiles the trace per call as documented
-// (the rest; flat burst arrays, per-hot-spot SI lists, the spot memo).
+// (the rest: the phase list, the per-SI latency tables, per-hot-spot SI
+// lists, the spot memo).
 // Callers that care run workload.Compile once and use RunCompiled, which
 // is allocation-free in the steady state — the gap between this benchmark
 // and BenchmarkRun is exactly what that buys. benchcheck gates both the

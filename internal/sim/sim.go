@@ -8,11 +8,11 @@
 // (Atom-load completions), so simulating billions of cycles costs time
 // proportional to the number of bursts and reconfigurations, not cycles.
 //
-// The hot path is allocation-free in the steady state: traces are lowered
-// by workload.Compile into flat burst arrays with pre-resolved SI metadata,
-// per-SI accounting lives in dense slices indexed by SIID, and RunCompiled
-// reuses a caller-owned Result across runs. Run/RunContext wrap this
-// pipeline for one-shot use.
+// The hot path is allocation-free in the steady state: workload.Compile
+// resolves the per-SI latencies the inner loop needs into dense tables once
+// per trace, per-SI accounting lives in dense slices indexed by SIID, and
+// RunCompiled reuses a caller-owned Result across runs. Run/RunContext wrap
+// this pipeline for one-shot use.
 package sim
 
 import (
@@ -390,14 +390,15 @@ func (r *runner) runPhase(ct *workload.Compiled, pi int) error {
 
 	for bi := range p.Bursts {
 		b := &p.Bursts[bi]
-		remaining := b.Count
+		swLat, fastest := ct.SWLatency[b.SI], ct.FastestLatency[b.SI]
+		remaining, gap := int64(b.Count), int64(b.Gap)
 		for remaining > 0 {
 			r.drain(r.now, p.Spot)
 			if r.cancelErr != nil {
 				return r.cancelErr
 			}
 			lat := rt.Latency(b.SI)
-			per := int64(lat) + b.Gap
+			per := int64(lat) + gap
 			n := remaining
 			if next, ok := rt.NextEvent(); ok && next > r.now {
 				// Executions whose start time is before the event keep
@@ -410,12 +411,12 @@ func (r *runner) runPhase(ct *workload.Compiled, pi int) error {
 				res.Histogram.Add(int(b.SI), r.now, n, per)
 			}
 			res.execs[b.SI] += n
-			if lat >= b.SWLatency {
+			if lat >= swLat {
 				res.swExecs[b.SI] += n
 			} else {
 				res.hwExecs[b.SI] += n
 			}
-			res.StallCycles += n * int64(lat-b.FastestLatency)
+			res.StallCycles += n * int64(lat-fastest)
 			r.now += n * per
 			remaining -= n
 			rt.Record(b.SI, n, r.now)

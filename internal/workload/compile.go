@@ -2,50 +2,47 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"rispp/internal/isa"
 )
 
-// CompiledBurst is one burst of a compiled trace with the SI metadata the
-// simulator's inner loop needs pre-resolved, so executing it costs no map
-// lookups, no ISA indirection and no interface calls beyond the Runtime
-// itself.
-type CompiledBurst struct {
-	SI    isa.SIID
-	Count int64
-	Gap   int64
-	// SWLatency is is.SI(SI).SWLatency: the trap latency that separates
-	// software from hardware executions.
-	SWLatency int
-	// FastestLatency is is.SI(SI).Fastest().Latency: the floor against
-	// which stall cycles are accounted.
-	FastestLatency int
-}
-
 // CompiledPhase is one hot-spot phase of a compiled trace.
 type CompiledPhase struct {
 	HotSpot isa.HotSpotID
 	Setup   int64
-	// Bursts is a view into the trace-wide flat burst array.
-	Bursts []CompiledBurst
+	// Bursts is the source phase's burst slice, read in place; its capacity
+	// is capped at its length, so an append through it cannot write into
+	// the source.
+	Bursts []Burst
 	// Spot lists the SIs of the phase's hot spot; phases of the same hot
 	// spot share one slice.
 	Spot []isa.SIID
 }
 
-// Compiled is a trace lowered into flat arrays for the simulator hot path:
-// all bursts live in one contiguous backing array, per-burst SI metadata is
-// pre-resolved, and the hot-spot SI sets are computed once per hot spot
-// instead of once per phase. A Compiled trace is immutable and safe for
-// concurrent simulation runs.
+// Compiled is a trace lowered for the simulator hot path: phases read the
+// source bursts in place, the two per-SI latencies the inner loop needs are
+// resolved once per SI into dense tables, and the hot-spot SI sets are
+// computed once per hot spot instead of once per phase. A Compiled trace is
+// immutable and safe for concurrent simulation runs — provided its source
+// trace is never modified after Compile, since the compiled phases alias
+// the source's bursts.
 type Compiled struct {
-	// Trace is the source trace (for its name and phase structure).
+	// Trace is the source trace: its bursts back the compiled phases, and
+	// forecast seeding and the oracle read it directly.
 	Trace *Trace
 	// NumSIs is len(is.SIs) of the ISA the trace was compiled against; it
 	// sizes the simulator's dense per-SI accounting.
 	NumSIs int
-	Phases []CompiledPhase
+	// SWLatency[si] is is.SI(si).SWLatency: the trap latency that separates
+	// software from hardware executions.
+	SWLatency []int
+	// FastestLatency[si] is is.SI(si).Fastest().Latency: the floor against
+	// which stall cycles are accounted. Both tables are indexed by SI id and
+	// share one backing array.
+	FastestLatency []int
+	Phases         []CompiledPhase
 
 	// prefixes memoizes Extends per shorter trace (*Compiled → bool), so
 	// the memo lives and dies with the traces it relates.
@@ -53,13 +50,13 @@ type Compiled struct {
 }
 
 // Extends reports whether c strictly extends prefix: prefix is shorter, was
-// compiled for the same SI count, and every one of its phases equals c's
-// phase at the same index — hot spot, setup, bursts with their SI metadata,
-// and hot-spot SI set. No hot spot may first appear in c after the prefix
-// either, so forecasts seeded from the first occurrence of each hot spot
-// (SeedFromTrace, the design-time estimation flow) are identical for both
-// traces. A run of c therefore passes through exactly the states a run of
-// prefix passes through, phase boundary by phase boundary.
+// compiled for the same SI count and per-SI latency tables, and every one
+// of its phases equals c's phase at the same index — hot spot, setup,
+// bursts, and hot-spot SI set. No hot spot may first appear in c after the
+// prefix either, so forecasts seeded from the first occurrence of each hot
+// spot (SeedFromTrace, the design-time estimation flow) are identical for
+// both traces. A run of c therefore passes through exactly the states a run
+// of prefix passes through, phase boundary by phase boundary.
 //
 // The answer is memoized on c per prefix: a pair pays one phase-by-phase
 // comparison, later calls a map lookup. Equal-length and longer traces are
@@ -77,25 +74,16 @@ func (c *Compiled) Extends(prefix *Compiled) bool {
 }
 
 func (c *Compiled) extends(prefix *Compiled) bool {
-	if prefix.NumSIs != c.NumSIs {
+	if prefix.NumSIs != c.NumSIs || !slices.Equal(prefix.SWLatency, c.SWLatency) ||
+		!slices.Equal(prefix.FastestLatency, c.FastestLatency) {
 		return false
 	}
 	seen := make(map[isa.HotSpotID]bool)
 	for i := range prefix.Phases {
 		p, q := &prefix.Phases[i], &c.Phases[i]
 		if p.HotSpot != q.HotSpot || p.Setup != q.Setup ||
-			len(p.Bursts) != len(q.Bursts) || len(p.Spot) != len(q.Spot) {
+			!slices.Equal(p.Bursts, q.Bursts) || !slices.Equal(p.Spot, q.Spot) {
 			return false
-		}
-		for j := range p.Bursts {
-			if p.Bursts[j] != q.Bursts[j] {
-				return false
-			}
-		}
-		for j := range p.Spot {
-			if p.Spot[j] != q.Spot[j] {
-				return false
-			}
 		}
 		seen[p.HotSpot] = true
 	}
@@ -107,9 +95,11 @@ func (c *Compiled) extends(prefix *Compiled) bool {
 	return true
 }
 
-// Compile validates the trace against the ISA and lowers it into the flat
-// representation the simulator executes. Compile once and reuse the result
-// across runs: the compiled form is read-only.
+// Compile validates the trace against the ISA and lowers it into the form
+// the simulator executes. Compile once and reuse the result across runs.
+// The compiled phases read tr's bursts in place, so tr is read-only from
+// here on: modifying it would change every run of the compiled trace, and
+// of any trail recorded on it. Clone a trace before changing it.
 func Compile(tr *Trace, is *isa.ISA) (*Compiled, error) {
 	// Trace.Validate only checks burst references; the compiled form also
 	// bakes in per-SI metadata (Fastest()), so malformed ISAs must be
@@ -127,17 +117,20 @@ func Compile(tr *Trace, is *isa.ISA) (*Compiled, error) {
 	if err := tr.Validate(is); err != nil {
 		return nil, err
 	}
-	total := 0
-	for i := range tr.Phases {
-		total += len(tr.Phases[i].Bursts)
-	}
-	flat := make([]CompiledBurst, 0, total)
-	spots := make(map[isa.HotSpotID][]isa.SIID)
+	n := len(is.SIs)
+	lat := make([]int, 2*n)
 	ct := &Compiled{
-		Trace:  tr,
-		NumSIs: len(is.SIs),
-		Phases: make([]CompiledPhase, 0, len(tr.Phases)),
+		Trace:          tr,
+		NumSIs:         n,
+		SWLatency:      lat[:n:n],
+		FastestLatency: lat[n:],
+		Phases:         make([]CompiledPhase, 0, len(tr.Phases)),
 	}
+	for i := range is.SIs {
+		ct.SWLatency[i] = is.SIs[i].SWLatency
+		ct.FastestLatency[i] = is.SIs[i].Fastest().Latency
+	}
+	spots := make(map[isa.HotSpotID][]isa.SIID)
 	for i := range tr.Phases {
 		p := &tr.Phases[i]
 		spot, ok := spots[p.HotSpot]
@@ -149,21 +142,10 @@ func Compile(tr *Trace, is *isa.ISA) (*Compiled, error) {
 			}
 			spots[p.HotSpot] = spot
 		}
-		start := len(flat)
-		for _, b := range p.Bursts {
-			si := is.SI(b.SI)
-			flat = append(flat, CompiledBurst{
-				SI:             b.SI,
-				Count:          int64(b.Count),
-				Gap:            int64(b.Gap),
-				SWLatency:      si.SWLatency,
-				FastestLatency: si.Fastest().Latency,
-			})
-		}
 		ct.Phases = append(ct.Phases, CompiledPhase{
 			HotSpot: p.HotSpot,
 			Setup:   p.Setup,
-			Bursts:  flat[start:len(flat):len(flat)],
+			Bursts:  p.Bursts[:len(p.Bursts):len(p.Bursts)],
 			Spot:    spot,
 		})
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 // TestCompileH264 checks the lowering of the paper's benchmark trace:
-// phase structure preserved, per-burst SI metadata pre-resolved, and the
-// flat burst array exactly covering the source bursts.
+// phase structure preserved, every compiled phase reading the source bursts
+// in place, and the per-SI latency tables resolved from the ISA.
 func TestCompileH264(t *testing.T) {
 	is := isa.H264()
 	tr := H264(H264Config{Frames: 1})
@@ -24,37 +24,51 @@ func TestCompileH264(t *testing.T) {
 	if ct.NumSIs != len(is.SIs) {
 		t.Errorf("NumSIs = %d, want %d", ct.NumSIs, len(is.SIs))
 	}
+	if len(ct.SWLatency) != len(is.SIs) || len(ct.FastestLatency) != len(is.SIs) {
+		t.Fatalf("latency tables have %d/%d entries, want %d", len(ct.SWLatency), len(ct.FastestLatency), len(is.SIs))
+	}
+	for i := range is.SIs {
+		si := &is.SIs[i]
+		if ct.SWLatency[i] != si.SWLatency || ct.FastestLatency[i] != si.Fastest().Latency {
+			t.Errorf("SI %s: latencies %d/%d, want %d/%d", si.Name,
+				ct.SWLatency[i], ct.FastestLatency[i], si.SWLatency, si.Fastest().Latency)
+		}
+	}
 	if len(ct.Phases) != len(tr.Phases) {
 		t.Fatalf("compiled %d phases, want %d", len(ct.Phases), len(tr.Phases))
 	}
-	var total int64
 	for i := range ct.Phases {
 		cp, p := &ct.Phases[i], &tr.Phases[i]
 		if cp.HotSpot != p.HotSpot || cp.Setup != p.Setup {
 			t.Errorf("phase %d: hot spot/setup %d/%d, want %d/%d",
 				i, cp.HotSpot, cp.Setup, p.HotSpot, p.Setup)
 		}
-		if len(cp.Bursts) != len(p.Bursts) {
-			t.Fatalf("phase %d: %d bursts, want %d", i, len(cp.Bursts), len(p.Bursts))
+		if len(p.Bursts) == 0 || len(cp.Bursts) != len(p.Bursts) || &cp.Bursts[0] != &p.Bursts[0] {
+			t.Fatalf("phase %d: compiled bursts are not the source's %d bursts read in place", i, len(p.Bursts))
 		}
-		for j, cb := range cp.Bursts {
-			b := p.Bursts[j]
-			si := is.SI(b.SI)
-			if cb.SI != b.SI || cb.Count != int64(b.Count) || cb.Gap != int64(b.Gap) {
-				t.Errorf("phase %d burst %d: %+v does not match source %+v", i, j, cb, b)
-			}
-			if cb.SWLatency != si.SWLatency {
-				t.Errorf("phase %d burst %d: SWLatency = %d, want %d", i, j, cb.SWLatency, si.SWLatency)
-			}
-			if cb.FastestLatency != si.Fastest().Latency {
-				t.Errorf("phase %d burst %d: FastestLatency = %d, want %d",
-					i, j, cb.FastestLatency, si.Fastest().Latency)
-			}
-			total += cb.Count
+		if cap(cp.Bursts) != len(cp.Bursts) {
+			t.Errorf("phase %d: capacity %d exceeds length %d; an append could write into the source",
+				i, cap(cp.Bursts), len(cp.Bursts))
 		}
 	}
-	if total != tr.TotalExecutions() {
-		t.Errorf("compiled executions = %d, want %d", total, tr.TotalExecutions())
+}
+
+// TestCompileAllocs pins the cost of compiling the 20-frame H.264 trace
+// (71,280 bursts): the bursts are read in place, so compiling allocates
+// per phase and per SI, never per burst.
+func TestCompileAllocs(t *testing.T) {
+	is := isa.H264()
+	tr := H264(H264Config{Frames: 20})
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Compile(tr, is); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if bytes, allocs := r.AllocedBytesPerOp(), r.AllocsPerOp(); bytes >= 64<<10 || allocs > 13 {
+		t.Errorf("compiling a 20-frame H.264 trace: %d B in %d allocs, want < 64 KiB in ≤ 13", bytes, allocs)
 	}
 }
 
@@ -153,7 +167,7 @@ func TestCompileEdgeCases(t *testing.T) {
 				var total int64
 				for _, p := range ct.Phases {
 					for _, b := range p.Bursts {
-						total += b.Count
+						total += int64(b.Count)
 					}
 				}
 				if want := c.tr.TotalExecutions(); total != want {

@@ -116,4 +116,16 @@ func TestExtendsRefusals(t *testing.T) {
 	if compile(tr).Extends(compile(H264(H264Config{Frames: 1, WidthMB: 3, HeightMB: 2}))) {
 		t.Error("extension with a modified prefix burst accepted")
 	}
+
+	// The same trace compiled against an ISA whose SAD trap costs more is
+	// refused: the software/hardware split of every SAD burst differs.
+	slowSAD := isa.H264()
+	slowSAD.SIs[isa.SISAD].SWLatency++
+	ctSlow, err := Compile(H264(H264Config{Frames: 2, Seed: 0, MotionVariability: 1, WidthMB: 3, HeightMB: 2}), slowSAD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctSlow.Extends(one) {
+		t.Error("extension compiled against a different SAD software latency accepted")
+	}
 }

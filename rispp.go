@@ -51,7 +51,9 @@ type Config struct {
 	// encoder ISA (Table 1).
 	ISA *isa.ISA
 	// Workload is the trace to execute; nil selects the paper's 140-frame
-	// CIF H.264 encode.
+	// CIF H.264 encode. The simulator reads its bursts in place
+	// (workload.Compile), and a Runner keeps the compiled form, so the
+	// trace is read-only once handed over: clone it before changing it.
 	Workload *workload.Trace
 	// Scheduler selects the run-time system: one of Schedulers for RISPP
 	// ("HEF" if empty), "Molen" for the baseline, or "software".
@@ -107,14 +109,26 @@ func (c *Config) setDefaults() {
 	if c.Scheduler == "" {
 		c.Scheduler = "HEF"
 	}
-	if c.Bus != nil {
-		if c.Timing == (reconfig.Timing{}) {
-			c.Timing = reconfig.DefaultTiming()
-		}
-		c.Timing = c.Bus.Timing(c.Timing)
-		c.Workload = c.Bus.ApplyToTrace(c.Workload)
-		c.Bus = nil // applied
+	c.applyBus()
+}
+
+// applyBus folds c.Bus into the reconfiguration timing and, when set, the
+// workload, then clears it so it applies once. It returns the applied Bus
+// (nil when none was set) for stretching traces generated later.
+func (c *Config) applyBus() *membus.Config {
+	bus := c.Bus
+	if bus == nil {
+		return nil
 	}
+	if c.Timing == (reconfig.Timing{}) {
+		c.Timing = reconfig.DefaultTiming()
+	}
+	c.Timing = bus.Timing(c.Timing)
+	if c.Workload != nil {
+		c.Workload = bus.ApplyToTrace(c.Workload)
+	}
+	c.Bus = nil
+	return bus
 }
 
 // NewRuntime builds the runtime described by the config without running it;
@@ -189,10 +203,10 @@ func RunContext(ctx context.Context, cfg Config) (*sim.Result, error) {
 // motion variability, scene change) build the H.264 trace — or, when the
 // point names a scenario, the scenario generator of internal/scenario
 // builds the trace and the run executes under that scenario's (possibly
-// merged multi-app) ISA. A non-nil base.Workload is used verbatim for
-// every point and excludes scenario points — in that case do not share an
-// explore.Cache across different traces, since the point key only
-// describes the knobs.
+// merged multi-app) ISA. A non-nil base.Workload (stretched by base.Bus, if
+// set) is used for every point and excludes scenario points — in that case
+// do not share an explore.Cache across different traces, since the point
+// key only describes the knobs.
 // Runtimes are pooled too: runtime construction allocates the full arena
 // set (monitor tables, Atom Container array, scheduler scratch), while a
 // reused runtime is Reset in place by the simulator and re-runs without
@@ -207,10 +221,10 @@ func RunContext(ctx context.Context, cfg Config) (*sim.Result, error) {
 // is served from it without simulating, and a longer trace of the same
 // workload family at the same budget resumes from it (see DeltaStats).
 type Runner struct {
-	base     Config
-	memo     bool      // trace memo + runtime pool are sound (no Bus rewrite)
-	results  sync.Pool // *sim.Result, reused across runs
-	compiled sync.Map  // workKey → *workload.Compiled
+	base     Config         // Bus already applied (see NewRunner)
+	bus      *membus.Config // stretches every trace the Runner generates
+	results  sync.Pool      // *sim.Result, reused across runs
+	compiled sync.Map       // workKey → *workload.Compiled
 
 	runtimes             sync.Map // runtimeKey → *runtimePool
 	poolHits, poolMisses atomic.Int64
@@ -334,22 +348,24 @@ type runtimeKey struct {
 	work          workKey
 }
 
-// NewRunner builds a Runner over the base config. Trace memoization and the
-// runtime pool are disabled when base.Bus is set, because the Bus transform
-// rewrites the trace after the workload knobs are applied — equal knobs
-// would no longer imply an equal compiled trace (or equal forecast seeds)
-// per config. The default ISA is resolved once here: building the H.264
-// Molecule library per point would dwarf a pooled run's cost.
+// NewRunner builds a Runner over the base config. A base.Bus is applied
+// once here: it stretches the reconfiguration timing and a pinned
+// base.Workload, and the Runner stretches every trace it generates the same
+// way. The Bus is base-only, so equal workload knobs still give an equal
+// stretched trace, and the stretch leaves burst counts — hence forecast
+// seeds — alone; the trace memo, runtime pool and trails apply unchanged.
+// The default ISA is resolved once here: building the H.264 Molecule
+// library per point would dwarf a pooled run's cost.
 func NewRunner(base Config) *Runner {
 	if base.ISA == nil {
 		base.ISA = isa.H264()
 	}
-	return &Runner{base: base, memo: base.Bus == nil}
+	bus := base.applyBus()
+	return &Runner{base: base, bus: bus}
 }
 
 // RuntimePoolStats reports how often a RunPoint runtime request was served
-// from the pool (hit) versus built fresh (miss). With the pool disabled
-// (base.Bus set) every request counts as a miss. Points served entirely
+// from the pool (hit) versus built fresh (miss). Points served entirely
 // from a checkpoint trail never request a runtime and therefore count as
 // neither; with delta-resimulation on, a repeated point is such a serve,
 // so hits come mostly from DisableDelta and histogram/timeline runs.
@@ -361,17 +377,16 @@ func (r *Runner) RuntimePoolStats() (hits, misses int64) {
 // delta-resimulation layer: serves completed without simulating at all
 // (the point's own trail), resumes simulated only the phases a shorter
 // trace's trail lacked, and records simulated from power-on while
-// recording a new trail. Requests with delta off (DisableDelta, ineligible
-// Collect options, or a Bus-rewritten workload) count as none of the three.
+// recording a new trail. Requests with delta off (DisableDelta or
+// ineligible Collect options) count as none of the three.
 func (r *Runner) DeltaStats() (serves, resumes, records int64) {
 	return r.deltaServes.Load(), r.deltaResumes.Load(), r.deltaRecs.Load()
 }
 
-// deltaOn reports whether delta-resimulation applies to runs of cfg: the
-// memo must be sound (trail identity relies on the same keying as the
-// runtime pool) and the collected artifacts checkpointable.
+// deltaOn reports whether delta-resimulation applies to runs of cfg: it
+// must not be disabled and the collected artifacts must be checkpointable.
 func (r *Runner) deltaOn(cfg *Config) bool {
-	return r.memo && !cfg.DisableDelta && sim.DeltaEligible(cfg.Collect)
+	return !cfg.DisableDelta && sim.DeltaEligible(cfg.Collect)
 }
 
 // trailSetFor returns the (lazily created) trail set of key's workload
@@ -416,7 +431,7 @@ func (r *Runner) runPointDelta(ctx context.Context, cfg *Config, key runtimeKey,
 	if !resumed {
 		err = sim.RunCompiledTrail(ctx, ct, crt, cfg.Collect, res, rec)
 	}
-	r.putRuntime(pool, rt)
+	pool.put(rt)
 	if err != nil {
 		return err // rec incomplete → discarded
 	}
@@ -429,17 +444,12 @@ func (r *Runner) runPointDelta(ctx context.Context, cfg *Config, key runtimeKey,
 	return nil
 }
 
-// runtime returns a runtime for cfg, pooled under key when sound. A non-nil
-// pool must be handed back via putRuntime once the run completes — even a
+// runtime returns a runtime for cfg from key's pool, which it returns too:
+// the runtime must be handed back to it once the run completes — even a
 // failed run, since Reset restores power-on state regardless. ct is the
 // compiled trace the run executes; a runtime built on a pool miss seeds its
 // forecasts from ct.Trace rather than regenerating the workload.
 func (r *Runner) runtime(cfg *Config, key runtimeKey, ct *workload.Compiled) (sim.Runtime, *runtimePool, error) {
-	if !r.memo {
-		r.poolMisses.Add(1)
-		rt, err := NewRuntime(*cfg)
-		return rt, nil, err
-	}
 	v, ok := r.runtimes.Load(key)
 	if !ok {
 		v, _ = r.runtimes.LoadOrStore(key, new(runtimePool))
@@ -460,20 +470,14 @@ func (r *Runner) runtime(cfg *Config, key runtimeKey, ct *workload.Compiled) (si
 	return rt, pool, nil
 }
 
-func (r *Runner) putRuntime(pool *runtimePool, rt sim.Runtime) {
-	if pool != nil {
-		pool.put(rt)
-	}
-}
-
 // pointConfig materializes point p over the base config and returns it with
-// the workload memo key (zeroed when the base pins a shared trace). When
-// memoization is on, cfg.Workload is left nil for generator-driven traces:
-// generating the trace is only necessary on a compile-memo miss, and
-// materializeWorkload fills it in exactly there; a runtime-pool miss seeds
-// from the memoized compiled trace instead. The steady state — warm memo,
-// warm pool — therefore touches neither the ISA builder nor the trace
-// generator, and a cold runtime build does not regenerate the trace.
+// the workload memo key (zeroed when the base pins a shared trace).
+// cfg.Workload is left nil for generator-driven traces: generating the
+// trace is only necessary on a compile-memo miss, and materializeWorkload
+// fills it in exactly there; a runtime-pool miss seeds from the memoized
+// compiled trace instead. The steady state — warm memo, warm pool —
+// therefore touches neither the ISA builder nor the trace generator, and a
+// cold runtime build does not regenerate the trace.
 //
 // A point naming a scenario swaps in that scenario's ISA (the merged
 // instruction set of a multi-app scenario is a different Atom space than
@@ -509,9 +513,6 @@ func (r *Runner) pointConfig(p explore.Point, collect sim.Options) (Config, work
 		}
 		key = workKey{scenario: p.Scenario, knobs: workload.H264Config{Frames: p.Frames, Seed: p.Seed}}
 		cfg.ISA = sc.ISA()
-		if !r.memo {
-			cfg.Workload = sc.Trace(p.Frames, p.Seed)
-		}
 	case cfg.Workload != nil:
 		// Single shared trace, one memo slot: key stays zero.
 	default:
@@ -521,29 +522,26 @@ func (r *Runner) pointConfig(p explore.Point, collect sim.Options) (Config, work
 			MotionVariability: p.Motion,
 			SceneChangeFrame:  p.SceneChange,
 		}
-		if !r.memo {
-			cfg.Workload = workload.H264(key.knobs)
-		}
-	}
-	if cfg.Bus != nil {
-		cfg.setDefaults() // applies the Bus transform to timing and trace
 	}
 	return cfg, key, nil
 }
 
-// materializeWorkload generates the generator-driven trace if pointConfig
-// left it lazy (memo on, no pinned base workload). A scenario key always
-// resolves: pointConfig already verified the name.
-func materializeWorkload(cfg *Config, key workKey) {
+// materializeWorkload generates the generator-driven trace pointConfig left
+// lazy (no pinned base workload), stretched by the base Bus if one is set.
+// A scenario key always resolves: pointConfig already verified the name.
+func (r *Runner) materializeWorkload(cfg *Config, key workKey) {
 	if cfg.Workload != nil {
 		return
 	}
 	if key.scenario != "" {
 		sc, _ := scenario.Find(key.scenario)
 		cfg.Workload = sc.Trace(key.knobs.Frames, key.knobs.Seed)
-		return
+	} else {
+		cfg.Workload = workload.H264(key.knobs)
 	}
-	cfg.Workload = workload.H264(key.knobs)
+	if r.bus != nil {
+		cfg.Workload = r.bus.ApplyToTrace(cfg.Workload)
+	}
 }
 
 // GetResult returns a pooled Result for RunPoint; return it with PutResult
@@ -559,22 +557,18 @@ func (r *Runner) GetResult() *sim.Result {
 // retain any reference into it afterwards.
 func (r *Runner) PutResult(res *sim.Result) { r.results.Put(res) }
 
-// compile lowers cfg's workload, memoizing per workload key when sound.
+// compile lowers cfg's workload, memoized per workload key.
 func (r *Runner) compile(cfg *Config, key workKey) (*workload.Compiled, error) {
-	if r.memo {
-		if v, ok := r.compiled.Load(key); ok {
-			return v.(*workload.Compiled), nil
-		}
+	if v, ok := r.compiled.Load(key); ok {
+		return v.(*workload.Compiled), nil
 	}
-	materializeWorkload(cfg, key)
+	r.materializeWorkload(cfg, key)
 	ct, err := workload.Compile(cfg.Workload, cfg.ISA)
 	if err != nil {
 		return nil, err
 	}
-	if r.memo {
-		if v, loaded := r.compiled.LoadOrStore(key, ct); loaded {
-			ct = v.(*workload.Compiled)
-		}
+	if v, loaded := r.compiled.LoadOrStore(key, ct); loaded {
+		ct = v.(*workload.Compiled)
 	}
 	return ct, nil
 }
@@ -609,7 +603,7 @@ func (r *Runner) RunPoint(ctx context.Context, p explore.Point, collect sim.Opti
 		return err
 	}
 	err = sim.RunCompiled(ctx, ct, rt, cfg.Collect, res)
-	r.putRuntime(pool, rt)
+	pool.put(rt)
 	return err
 }
 

@@ -1,10 +1,15 @@
 package rispp
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
+	"rispp/internal/explore"
 	"rispp/internal/isa"
 	"rispp/internal/membus"
+	"rispp/internal/scenario"
+	"rispp/internal/sim"
 	"rispp/internal/workload"
 )
 
@@ -134,6 +139,18 @@ func TestNewRuntimeExposesManager(t *testing.T) {
 	}
 }
 
+// contendedBus squeezes both bus masters: glue cycles stretch 1.8× and
+// Atom reloads 1.2×.
+func contendedBus() *membus.Config {
+	return &membus.Config{Policy: membus.Fair, CPULoad: 0.9, DMADemand: 0.6}
+}
+
+// resultFields projects a Result onto the fields the Bus comparison pins.
+func resultFields(r *sim.Result) []any {
+	return []any{r.Runtime, r.TotalCycles, r.StallCycles,
+		r.Executions(), r.SWExecutions(), r.HWExecutions(), r.Phases}
+}
+
 func TestBusContentionConfig(t *testing.T) {
 	tr := shortTrace(2)
 	base, err := Run(Config{Scheduler: "HEF", NumACs: 10, Workload: tr, SeedForecasts: true})
@@ -147,5 +164,50 @@ func TestBusContentionConfig(t *testing.T) {
 	}
 	if loaded.TotalCycles <= base.TotalCycles {
 		t.Fatalf("bus contention did not slow the system: %d vs %d", loaded.TotalCycles, base.TotalCycles)
+	}
+
+	// The same points through a Runner whose base sets the Bus — a generated
+	// H.264 trace, a scenario and a pinned workload, with delta-resimulation
+	// on and off — match Run with that Bus field for field, on the first
+	// run and on the repeat a trail or the runtime pool serves.
+	name := scenario.Names()[0]
+	sc, _ := scenario.Find(name)
+	cases := []struct {
+		name   string
+		runner Config // the Runner's base, Bus added below
+		p      explore.Point
+		run    Config // the equivalent Run config, Bus added below
+	}{
+		{"h264", Config{},
+			explore.Point{Scheduler: "HEF", NumACs: 10, Frames: 2, SeedForecasts: true},
+			Config{Scheduler: "HEF", NumACs: 10, Workload: tr, SeedForecasts: true}},
+		{"scenario", Config{},
+			explore.Point{Scheduler: "Molen", NumACs: 8, Frames: 2, Seed: 1, SeedForecasts: true, Scenario: name},
+			Config{ISA: sc.ISA(), Workload: sc.Trace(2, 1), Scheduler: "Molen", NumACs: 8, SeedForecasts: true}},
+		{"pinned", Config{Workload: tr},
+			explore.Point{Scheduler: "ASF", NumACs: 6, Frames: 2, SeedForecasts: true},
+			Config{Scheduler: "ASF", NumACs: 6, Workload: tr, SeedForecasts: true}},
+	}
+	for _, c := range cases {
+		c.run.Bus = contendedBus()
+		want, err := Run(c.run)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", c.name, err)
+		}
+		for _, disable := range []bool{false, true} {
+			rb := c.runner
+			rb.Bus, rb.DisableDelta = contendedBus(), disable
+			rn := NewRunner(rb)
+			for i := 0; i < 2; i++ {
+				got := new(sim.Result)
+				if err := rn.RunPoint(context.Background(), c.p, sim.Options{}, got); err != nil {
+					t.Fatalf("%s: RunPoint: %v", c.name, err)
+				}
+				if !reflect.DeepEqual(resultFields(got), resultFields(want)) {
+					t.Errorf("%s (DisableDelta=%v, run %d): Runner with a Bus gives %v, Run gives %v",
+						c.name, disable, i+1, resultFields(got), resultFields(want))
+				}
+			}
+		}
 	}
 }

@@ -163,8 +163,8 @@ func TestSweepGroupedMatchesPerPoint(t *testing.T) {
 	}
 }
 
-// TestRuntimePoolReuse pins the pool mechanics: the second identical run
-// must be a hit, and a Bus-configured Runner must bypass the pool entirely.
+// TestRuntimePoolReuse pins the pool mechanics: the first run builds a
+// runtime and every identical run after it reuses that one.
 func TestRuntimePoolReuse(t *testing.T) {
 	// Delta-resimulation would serve the repeat runs without touching the
 	// pool; disable it so the pool mechanics stay observable.
