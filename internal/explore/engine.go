@@ -87,8 +87,9 @@ type Engine struct {
 	// OnRecord, when non-nil, is invoked for every record exactly when it
 	// is streamed: strictly in job order, immediately after the record is
 	// encoded to Execute's writer (or where it would have been, when no
-	// writer is given). Serving layers use it to flush chunked responses
-	// per line and to observe cache hits (Record.Cached is not serialized).
+	// writer is given). The serving layer uses it to count cache hits
+	// (Record.Cached is not serialized) before it sends the line just
+	// encoded.
 	// The callback runs under the engine's internal lock — it must return
 	// promptly and must not call back into the engine.
 	OnRecord func(Record)

@@ -19,8 +19,10 @@ import (
 )
 
 // ErrNoWorkers is returned by Sweep when every worker of the fleet is dead
-// while points remain unassigned. The serving layer uses it to fall back to
-// local execution.
+// while points remain unassigned. The serving layer runs a sweep locally
+// only when its fleet is already empty before the sweep starts; a fleet that
+// collapses mid-sweep ends the stream early with this error, the way a
+// deadline truncates it.
 var ErrNoWorkers = errors.New("fabric: no live workers")
 
 // Worker is a registry snapshot entry: one risppserve backend of the fleet.

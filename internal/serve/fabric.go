@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -13,22 +11,6 @@ import (
 	"rispp/internal/explore"
 	"rispp/internal/fabric"
 )
-
-// sweepFleet runs the jobs through the fleet coordinator, emitting record
-// lines in canonical order. handled is false when this node has no
-// coordinator or an empty fleet — the caller then executes locally. A
-// mid-sweep fleet collapse (ErrNoWorkers) truncates the stream exactly
-// like a deadline would; the error reports it.
-func (s *Server) sweepFleet(ctx context.Context, jobs []explore.Point, emit func([]byte) error, progress func(string, int, int)) (handled bool, err error) {
-	if s.coord == nil || s.coord.LiveWorkers() == 0 {
-		return false, nil
-	}
-	err = s.coord.Sweep(ctx, jobs, fabric.SweepOptions{Emit: emit, Progress: progress})
-	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-		s.logf("serve: fleet sweep: %v", err)
-	}
-	return true, err
-}
 
 // handleJobs answers POST /v1/jobs (create an async sweep job) and GET
 // /v1/jobs (list retained jobs). A job is a /v1/explore sweep detached
@@ -46,47 +28,15 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use GET or POST")
 		return
 	}
-	var req ExploreRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	jobs, timeout, ok := s.sweepRequest(w, r)
+	if !ok {
 		return
-	}
-	if req.TimeoutMS < 0 {
-		writeError(w, http.StatusBadRequest, "negative timeout_ms")
-		return
-	}
-	jobs, err := req.Spec.Expand()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid spec: %v", err)
-		return
-	}
-	if len(jobs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty sweep: spec expands to no points")
-		return
-	}
-	if len(jobs) > s.cfg.MaxPoints {
-		writeError(w, http.StatusBadRequest, "sweep of %d points exceeds server limit %d", len(jobs), s.cfg.MaxPoints)
-		return
-	}
-	for _, p := range jobs {
-		if err := s.validatePoint(p); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid point %s: %v", p.Key(), err)
-			return
-		}
 	}
 	tenant := tenantFrom(r.Context())
-	var sweepCost float64
-	for _, p := range jobs {
-		sweepCost += s.cost.predict(p)
-	}
-	if err := s.qos.admit(tenant, sweepCost); err != nil {
-		s.writeSimulateError(w, r, err)
-		return
-	}
 
 	// The job's sweep is parented to the server, not the request: the
 	// client may disconnect immediately and stream the records later.
-	jctx, cancel := context.WithTimeout(s.jobsCtx, s.timeout(req.TimeoutMS))
+	jctx, cancel := context.WithTimeout(s.jobsCtx, timeout)
 	job, err := s.jobs.Create(len(jobs), cancel)
 	if err != nil {
 		cancel()
@@ -97,48 +47,14 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer s.jobsWG.Done()
 		defer cancel()
-		job.Finish(s.runJobSweep(jctx, job, jobs, tenant))
+		job.Finish(s.sweep(jctx, tenant, jobs, func(line []byte) error {
+			job.Append(append([]byte(nil), line...))
+			return nil
+		}, job.Shard))
 	}()
 
 	w.Header().Set("Location", "/v1/jobs/"+job.ID())
 	writeJSON(w, http.StatusAccepted, job.Status())
-}
-
-// runJobSweep executes one async job's sweep — through the fleet when this
-// node coordinates one, locally otherwise — appending every record line to
-// the job in canonical order.
-func (s *Server) runJobSweep(ctx context.Context, job *fabric.Job, jobs []explore.Point, tenant string) error {
-	if handled, err := s.sweepFleet(ctx, jobs, func(line []byte) error {
-		job.Append(append([]byte(nil), line...))
-		return nil
-	}, job.Shard); handled {
-		return err
-	}
-	eng := s.exploreEngine(tenant, nil)
-	lw := &lineWriter{emit: func(line []byte) { job.Append(line) }}
-	_, err := eng.ExecutePoints(ctx, jobs, lw)
-	return err
-}
-
-// lineWriter splits a byte stream into newline-terminated lines, emitting
-// each complete line as its own buffer. It makes the job store independent
-// of the write granularity of the engine's JSON encoder.
-type lineWriter struct {
-	emit func(line []byte)
-	buf  []byte
-}
-
-func (lw *lineWriter) Write(p []byte) (int, error) {
-	lw.buf = append(lw.buf, p...)
-	for {
-		i := bytes.IndexByte(lw.buf, '\n')
-		if i < 0 {
-			return len(p), nil
-		}
-		line := append([]byte(nil), lw.buf[:i+1]...)
-		lw.buf = lw.buf[i+1:]
-		lw.emit(line)
-	}
 }
 
 // handleJob answers GET/DELETE /v1/jobs/{id} and GET /v1/jobs/{id}/stream.

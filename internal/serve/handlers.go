@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"rispp/internal/explore"
+	"rispp/internal/fabric"
 	"rispp/internal/isa"
 	"rispp/internal/scenario"
 	"rispp/internal/sched"
@@ -279,9 +281,23 @@ func (s *Server) simulate(ctx context.Context, tenant string, p explore.Point, c
 	if err := s.qos.admit(tenant, cost); err != nil {
 		return nil, err
 	}
-	slot, err := s.qos.acquire(ctx, tenant, classInteractive, cost)
+	var body []byte
+	err := s.run(ctx, tenant, classInteractive, cost, p, collect.options(), func(res *sim.Result) (err error) {
+		body, err = s.renderSimulate(p, res)
+		return err
+	})
+	return body, err
+}
+
+// run is the one slot-holding simulation bracket, shared by /v1/simulate
+// and every point of a local sweep: it waits for a slot at the tenant's
+// class priority, runs p on a pooled Result, feeds the measured time to
+// the cost model and hands the Result to use before the slot and the
+// Result are released. use must copy out whatever it keeps.
+func (s *Server) run(ctx context.Context, tenant string, class int, cost float64, p explore.Point, collect sim.Options, use func(*sim.Result) error) error {
+	slot, err := s.qos.acquire(ctx, tenant, class, cost)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer s.qos.release(slot)
 	s.met.inflight.Add(1)
@@ -290,11 +306,11 @@ func (s *Server) simulate(ctx context.Context, tenant string, p explore.Point, c
 	res := s.runner.GetResult()
 	defer s.runner.PutResult(res)
 	start := time.Now()
-	if err := s.runPoint(ctx, p, collect.options(), res); err != nil {
-		return nil, err
+	if err := s.runPoint(ctx, p, collect, res); err != nil {
+		return err
 	}
 	s.cost.observe(p, time.Since(start))
-	return s.renderSimulate(p, res)
+	return use(res)
 }
 
 // renderSimulate converts a Result into the deterministic response body.
@@ -348,59 +364,17 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	var req ExploreRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	jobs, timeout, ok := s.sweepRequest(w, r)
+	if !ok {
 		return
 	}
-	if req.TimeoutMS < 0 {
-		writeError(w, http.StatusBadRequest, "negative timeout_ms")
-		return
-	}
-	jobs, err := req.Spec.Expand()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid spec: %v", err)
-		return
-	}
-	if len(jobs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty sweep: spec expands to no points")
-		return
-	}
-	if len(jobs) > s.cfg.MaxPoints {
-		writeError(w, http.StatusBadRequest, "sweep of %d points exceeds server limit %d", len(jobs), s.cfg.MaxPoints)
-		return
-	}
-	for _, p := range jobs {
-		if err := s.validatePoint(p); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid point %s: %v", p.Key(), err)
-			return
-		}
-	}
-
-	// Sweep-level admission: the whole spec is charged against the
-	// tenant's cost budget up front (predicted from the learned cost
-	// classes), so a tenant cannot sidestep rate limits by splitting load
-	// across huge batch sweeps. Per-point charges are not taken again.
-	tenant := tenantFrom(r.Context())
-	var sweepCost float64
-	for _, p := range jobs {
-		sweepCost += s.cost.predict(p)
-	}
-	if err := s.qos.admit(tenant, sweepCost); err != nil {
-		s.writeSimulateError(w, r, err)
-		return
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
 	flusher, _ := w.(http.Flusher)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Points", strconv.Itoa(len(jobs)))
-	// From the first streamed byte on, errors can no longer change the
-	// status code; per-record errors travel in the records themselves and
-	// a deadline truncates the stream (clients compare against X-Points).
-	if handled, _ := s.sweepFleet(ctx, jobs, func(line []byte) error {
+	emit := func(line []byte) error {
 		if _, err := w.Write(line); err != nil {
 			return err
 		}
@@ -408,24 +382,107 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 		return nil
-	}, nil); handled {
-		return
 	}
-	eng := s.exploreEngine(tenant, func(rec explore.Record) {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	})
-	eng.ExecutePoints(ctx, jobs, w) //nolint:errcheck // see above: reported in-band
+	// From the first streamed byte on, errors can no longer change the
+	// status code; per-record errors travel in the records themselves and
+	// a deadline truncates the stream (clients compare against X-Points).
+	s.sweep(ctx, tenantFrom(r.Context()), jobs, emit, nil) //nolint:errcheck // see above: reported in-band
 }
 
-// exploreEngine builds the local sweep engine charging the tenant's batch
-// class; onRecord, when non-nil, runs after the built-in cache accounting
-// for every streamed record.
-func (s *Server) exploreEngine(tenant string, onRecord func(explore.Record)) *explore.Engine {
-	return &explore.Engine{
+// sweepRequest is the intake of POST /v1/explore and POST /v1/jobs: it
+// decodes the body, expands and validates the spec, and takes the one
+// sweep-level admission charge. ok is false when it has already answered
+// the request with an error.
+func (s *Server) sweepRequest(w http.ResponseWriter, r *http.Request) (jobs []explore.Point, timeout time.Duration, ok bool) {
+	var req ExploreRequest
+	if err := s.decodeJSON(w, r, &req); err != nil {
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return nil, 0, false
+	}
+	if req.TimeoutMS < 0 {
+		writeError(w, http.StatusBadRequest, "negative timeout_ms")
+		return nil, 0, false
+	}
+	jobs, err := s.expandSpec(req.Spec, "sweep")
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return nil, 0, false
+	}
+	// The whole spec is charged against the tenant's cost budget up front
+	// (predicted from the learned cost classes), so a tenant cannot
+	// sidestep rate limits by splitting load across huge batch sweeps.
+	// Per-point charges are not taken again.
+	var cost float64
+	for _, p := range jobs {
+		cost += s.cost.predict(p)
+	}
+	if err := s.qos.admit(tenantFrom(r.Context()), cost); err != nil {
+		s.writeSimulateError(w, r, err)
+		return nil, 0, false
+	}
+	return jobs, s.timeout(req.TimeoutMS), true
+}
+
+// expandSpec expands a sweep or search-space spec (noun names it in
+// errors) to its canonical points and applies the serving limits: at
+// least one point, at most MaxPoints, each passing validatePoint.
+func (s *Server) expandSpec(spec explore.Spec, noun string) ([]explore.Point, error) {
+	jobs, err := spec.Expand()
+	if err != nil {
+		return nil, fmt.Errorf("invalid spec: %v", err)
+	}
+	if len(jobs) == 0 {
+		return nil, fmt.Errorf("empty %s: spec expands to no points", noun)
+	}
+	if len(jobs) > s.cfg.MaxPoints {
+		return nil, fmt.Errorf("%s of %d points exceeds server limit %d", noun, len(jobs), s.cfg.MaxPoints)
+	}
+	for _, p := range jobs {
+		if err := s.validatePoint(p); err != nil {
+			return nil, fmt.Errorf("invalid point %s: %v", p.Key(), err)
+		}
+	}
+	return jobs, nil
+}
+
+// sweep executes an admitted sweep and hands emit every record line in
+// canonical order; emit must copy a line it keeps. With a live fleet the
+// coordinator shards the points (progress, when non-nil, follows the
+// shards); otherwise the local engine runs them, each point holding a
+// batch-class slot. Exploration points queue for slots rather than
+// shedding: the spec was admitted as a whole, and job order (not latency)
+// is the contract. A local record is counted on the explore counters
+// before its line is emitted, so the counters cover every line a client
+// has read.
+func (s *Server) sweep(ctx context.Context, tenant string, jobs []explore.Point, emit func(line []byte) error, progress func(worker string, assigned, done int)) error {
+	if s.coord != nil && s.coord.LiveWorkers() > 0 {
+		// A fleet that collapses mid-sweep (fabric.ErrNoWorkers) truncates
+		// the stream exactly like a deadline would.
+		err := s.coord.Sweep(ctx, jobs, fabric.SweepOptions{Emit: emit, Progress: progress})
+		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			s.logf("serve: fleet sweep: %v", err)
+		}
+		return err
+	}
+	var (
+		line    bytes.Buffer // the engine encodes one record here at a time
+		emitErr error
+	)
+	eng := &explore.Engine{
 		Workers: s.cfg.ExploreWorkers,
 		Cache:   s.exploreStore,
+		Run: func(ctx context.Context, p explore.Point) (m explore.Metrics, err error) {
+			err = s.run(ctx, tenant, classBatch, s.cost.predict(p), p, sim.Options{}, func(res *sim.Result) error {
+				m = explore.Metrics{
+					TotalCycles:  res.TotalCycles,
+					StallCycles:  res.StallCycles,
+					SWExecutions: res.TotalSWExecutions(),
+					HWExecutions: res.TotalHWExecutions(),
+				}
+				return nil
+			})
+			return m, err
+		},
 		OnRecord: func(rec explore.Record) {
 			switch {
 			case rec.Cached:
@@ -433,38 +490,16 @@ func (s *Server) exploreEngine(tenant string, onRecord func(explore.Record)) *ex
 			case rec.OK():
 				s.met.engineSim.Add(1)
 			}
-			if onRecord != nil {
-				onRecord(rec)
+			if emitErr == nil {
+				emitErr = emit(line.Bytes())
 			}
-		},
-		// Exploration jobs queue for slots at batch priority rather than
-		// shedding: the spec was admitted as a whole, and job order (not
-		// latency) is the contract. The WFQ scheduler arbitrates slot by
-		// slot between this sweep, other tenants' sweeps, and interactive
-		// traffic (which always wins a free slot).
-		Run: func(ctx context.Context, p explore.Point) (explore.Metrics, error) {
-			slot, err := s.qos.acquire(ctx, tenant, classBatch, s.cost.predict(p))
-			if err != nil {
-				return explore.Metrics{}, err
-			}
-			defer s.qos.release(slot)
-			s.met.inflight.Add(1)
-			defer s.met.inflight.Add(-1)
-			res := s.runner.GetResult()
-			defer s.runner.PutResult(res)
-			start := time.Now()
-			if err := s.runPoint(ctx, p, sim.Options{}, res); err != nil {
-				return explore.Metrics{}, err
-			}
-			s.cost.observe(p, time.Since(start))
-			return explore.Metrics{
-				TotalCycles:  res.TotalCycles,
-				StallCycles:  res.StallCycles,
-				SWExecutions: res.TotalSWExecutions(),
-				HWExecutions: res.TotalHWExecutions(),
-			}, nil
+			line.Reset()
 		},
 	}
+	if _, err := eng.ExecutePoints(ctx, jobs, &line); err != nil {
+		return err
+	}
+	return emitErr
 }
 
 // handleSuggest answers POST /v1/suggest: the adaptive-search side of the
@@ -494,24 +529,10 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "count %d exceeds server limit %d", req.Count, s.cfg.MaxPoints)
 		return
 	}
-	jobs, err := req.Spec.Expand()
+	jobs, err := s.expandSpec(req.Spec, "space")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid spec: %v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	if len(jobs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty space: spec expands to no points")
-		return
-	}
-	if len(jobs) > s.cfg.MaxPoints {
-		writeError(w, http.StatusBadRequest, "space of %d points exceeds server limit %d", len(jobs), s.cfg.MaxPoints)
-		return
-	}
-	for _, p := range jobs {
-		if err := s.validatePoint(p); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid point %s: %v", p.Key(), err)
-			return
-		}
 	}
 	if len(req.Observed) > len(jobs) {
 		writeError(w, http.StatusBadRequest, "%d observations for a space of %d points", len(req.Observed), len(jobs))
@@ -542,7 +563,9 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.met.suggest(sug.Strategy, len(sug.Points), len(sug.Front))
+	s.met.suggests.inc(sug.Strategy, "")
+	s.met.suggestPoints.Add(int64(len(sug.Points)))
+	s.met.frontSize.Store(int64(len(sug.Front)))
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(sug) //nolint:errcheck // headers sent; nothing left to do
 }

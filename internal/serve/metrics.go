@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,14 +36,14 @@ func routeIndex(route string) int {
 	return numMetricRoutes - 1
 }
 
-// routeHist is one endpoint's latency histogram plus count/sum.
-type routeHist struct {
+// histogram is one latency histogram plus count/sum.
+type histogram struct {
 	count  atomic.Int64
 	sumNS  atomic.Int64
-	bucket [numLatencyBuckets]atomic.Int64
+	bucket [numLatencyBuckets]atomic.Int64 // rendered cumulatively
 }
 
-func (h *routeHist) observe(d time.Duration) {
+func (h *histogram) observe(d time.Duration) {
 	h.count.Add(1)
 	h.sumNS.Add(int64(d))
 	s := d.Seconds()
@@ -54,303 +55,213 @@ func (h *routeHist) observe(d time.Duration) {
 	}
 }
 
-// metrics is the server's instrumentation: a handful of counters, one
-// latency histogram and an in-flight gauge, exposed in Prometheus text
-// exposition format with nothing but the standard library. All methods are
-// safe for concurrent use.
+// writeHistogram renders the sum of hs as one histogram series of family
+// name, labeled with route unless route is empty.
+func writeHistogram(w io.Writer, name, route string, hs []histogram) {
+	var count, sumNS int64
+	var bucket [numLatencyBuckets]int64
+	for i := range hs {
+		count += hs[i].count.Load()
+		sumNS += hs[i].sumNS.Load()
+		for b := range bucket {
+			bucket[b] += hs[i].bucket[b].Load()
+		}
+	}
+	le, set := "", ""
+	if route != "" {
+		le, set = fmt.Sprintf("route=%q,", route), fmt.Sprintf("{route=%q}", route)
+	}
+	var cum int64
+	for i, ub := range latencyBuckets {
+		cum += bucket[i]
+		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, le, formatBound(ub), cum)
+	}
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, le, count)
+	fmt.Fprintf(w, "%s_sum%s %g\n", name, set, float64(sumNS)/1e9)
+	fmt.Fprintf(w, "%s_count%s %d\n", name, set, count)
+}
+
+// counterVec is a counter family over one or two labels (a one-label
+// family leaves the second label name empty).
+type counterVec struct {
+	labels [2]string
+	mu     sync.Mutex
+	counts map[[2]string]int64
+}
+
+func (c *counterVec) inc(a, b string) {
+	c.mu.Lock()
+	if c.counts == nil {
+		c.counts = make(map[[2]string]int64)
+	}
+	c.counts[[2]string{a, b}]++
+	c.mu.Unlock()
+}
+
+// write renders the family with its series in label-value order.
+func (c *counterVec) write(w io.Writer, name, help string) {
+	type series struct {
+		labels [2]string
+		n      int64
+	}
+	c.mu.Lock()
+	ss := make([]series, 0, len(c.counts))
+	for k, n := range c.counts {
+		ss = append(ss, series{k, n})
+	}
+	c.mu.Unlock()
+	sort.Slice(ss, func(i, j int) bool {
+		a, b := ss[i].labels, ss[j].labels
+		return a[0] < b[0] || a[0] == b[0] && a[1] < b[1]
+	})
+	family(w, name, "counter", help)
+	for _, s := range ss {
+		if c.labels[1] == "" {
+			fmt.Fprintf(w, "%s{%s=%q} %d\n", name, c.labels[0], s.labels[0], s.n)
+		} else {
+			fmt.Fprintf(w, "%s{%s=%q,%s=%q} %d\n", name, c.labels[0], s.labels[0], c.labels[1], s.labels[1], s.n)
+		}
+	}
+}
+
+// metrics is what the server records: labeled counters, per-route latency
+// histograms and a few atomics. All methods are safe for concurrent use.
+// Live state (queue depths, cost classes, the runtime pool, the fleet, the
+// job store) is not copied here; writeMetrics reads it where it lives.
 type metrics struct {
-	mu       sync.Mutex
-	requests map[string]int64 // "route\x00code" → count
-
-	inflight   atomic.Int64 // simulations currently holding a limiter slot
-	cacheHits  atomic.Int64 // /v1/simulate response-cache hits
-	cacheMiss  atomic.Int64 // /v1/simulate response-cache misses
-	engineHits atomic.Int64 // /v1/explore records answered by the result cache
-	engineSim  atomic.Int64 // /v1/explore records actually simulated here
-	panics     atomic.Int64 // recovered handler panics
-
-	latCount  atomic.Int64
-	latSumNS  atomic.Int64
-	latBucket [numLatencyBuckets]atomic.Int64 // rendered cumulatively
+	requests counterVec // completed requests by route and status code
+	sheds    counterVec // rejected (429) requests by tenant and reason
+	admits   counterVec // dispatched slot acquisitions by tenant and class
+	suggests counterVec // answered /v1/suggest requests by strategy
 
 	// Per-endpoint latency histograms (SLO series: p50/p99 per route are
-	// derived from the buckets by the scraper/risppload).
-	routeLat [numMetricRoutes]routeHist
+	// derived from the buckets by the scraper/risppload). The all-routes
+	// histogram is their sum at scrape time.
+	routeLat [numMetricRoutes]histogram
 
-	// Multi-tenant QoS series (under mu): shed counts by tenant and
-	// reason, dispatched work by tenant and class.
-	sheds  map[string]int64 // "tenant\x00reason" → count
-	admits map[string]int64 // "tenant\x00class" → count
-
-	// queueDepths, when non-nil, reads the scheduler's waiting counts at
-	// scrape time; costClasses reads the learned cost model.
-	queueDepths func() [numClasses]int
-	costClasses func() map[string]float64
-
-	// Adaptive-search instrumentation (/v1/suggest). suggests counts
-	// requests per strategy (under mu); the atomics track the points
-	// proposed in total and the front size of the most recent reply.
-	suggests      map[string]int64
-	suggestPoints atomic.Int64
-	frontSize     atomic.Int64
-
-	// poolStats, when non-nil, reads the runner's runtime-pool hit/miss
-	// counters at scrape time (the pool lives in rispp.Runner, not here).
-	poolStats func() (hits, misses int64)
-
-	// fabricStats, when non-nil (coordinator nodes), reads the sweep
-	// fabric's counters at scrape time; jobStats reads the async job store.
-	fabricStats func() (shardRetries, workerFailures int64, live, total int)
-	jobStats    func() (running, retained int)
+	inflight      atomic.Int64 // simulations currently holding a limiter slot
+	cacheHits     atomic.Int64 // /v1/simulate response-cache hits
+	cacheMiss     atomic.Int64 // /v1/simulate response-cache misses
+	engineHits    atomic.Int64 // /v1/explore records answered by the result cache
+	engineSim     atomic.Int64 // /v1/explore records actually simulated here
+	panics        atomic.Int64 // recovered handler panics
+	suggestPoints atomic.Int64 // points proposed by /v1/suggest in total
+	frontSize     atomic.Int64 // front size of the most recent /v1/suggest reply
 }
 
 func newMetrics() *metrics {
 	return &metrics{
-		requests: make(map[string]int64),
-		suggests: make(map[string]int64),
-		sheds:    make(map[string]int64),
-		admits:   make(map[string]int64),
+		requests: counterVec{labels: [2]string{"route", "code"}},
+		sheds:    counterVec{labels: [2]string{"tenant", "reason"}},
+		admits:   counterVec{labels: [2]string{"tenant", "class"}},
+		suggests: counterVec{labels: [2]string{"strategy"}},
 	}
-}
-
-// tenantShed records one rejected request (429) by tenant and reason.
-func (m *metrics) tenantShed(tenant, reason string) {
-	m.mu.Lock()
-	m.sheds[tenant+"\x00"+reason]++
-	m.mu.Unlock()
-}
-
-// tenantAdmit records one dispatched slot acquisition by tenant and class.
-func (m *metrics) tenantAdmit(tenant string, class int) {
-	m.mu.Lock()
-	m.admits[tenant+"\x00"+className(class)]++
-	m.mu.Unlock()
-}
-
-// suggest records one answered /v1/suggest request.
-func (m *metrics) suggest(strategy string, points, front int) {
-	m.mu.Lock()
-	m.suggests[strategy]++
-	m.mu.Unlock()
-	m.suggestPoints.Add(int64(points))
-	m.frontSize.Store(int64(front))
 }
 
 // request records one completed request: its route, status code and wall
-// time (aggregate histogram kept for continuity, per-route histogram for
-// the SLO series).
+// time.
 func (m *metrics) request(route string, code int, d time.Duration) {
-	m.mu.Lock()
-	m.requests[route+"\x00"+strconv.Itoa(code)]++
-	m.mu.Unlock()
-	m.latCount.Add(1)
-	m.latSumNS.Add(int64(d))
-	s := d.Seconds()
-	for i, ub := range latencyBuckets {
-		if s <= ub {
-			m.latBucket[i].Add(1)
-			break
-		}
-	}
+	m.requests.inc(route, strconv.Itoa(code))
 	m.routeLat[routeIndex(route)].observe(d)
 }
 
-// write renders the Prometheus text exposition. Series are emitted in a
-// deterministic order so scrapes (and tests) are stable.
-func (m *metrics) write(w io.Writer) {
-	m.mu.Lock()
-	keys := make([]string, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	counts := make([]int64, len(keys))
-	for i, k := range keys {
-		counts[i] = m.requests[k]
-	}
-	m.mu.Unlock()
+// family writes a metric family's HELP and TYPE lines.
+func family(w io.Writer, name, typ, help string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
 
-	fmt.Fprintf(w, "# HELP rispp_requests_total Completed HTTP requests by route and status code.\n")
-	fmt.Fprintf(w, "# TYPE rispp_requests_total counter\n")
-	for i, k := range keys {
-		route, code, _ := cutByte(k)
-		fmt.Fprintf(w, "rispp_requests_total{route=%q,code=%q} %d\n", route, code, counts[i])
-	}
+// single writes a family of one unlabeled series.
+func single(w io.Writer, name, typ, help string, v int64) {
+	family(w, name, typ, help)
+	fmt.Fprintf(w, "%s %d\n", name, v)
+}
 
-	fmt.Fprintf(w, "# HELP rispp_request_duration_seconds Request wall time.\n")
-	fmt.Fprintf(w, "# TYPE rispp_request_duration_seconds histogram\n")
-	var cum int64
-	for i, ub := range latencyBuckets {
-		cum += m.latBucket[i].Load()
-		fmt.Fprintf(w, "rispp_request_duration_seconds_bucket{le=%q} %d\n", formatBound(ub), cum)
-	}
-	count := m.latCount.Load()
-	fmt.Fprintf(w, "rispp_request_duration_seconds_bucket{le=\"+Inf\"} %d\n", count)
-	fmt.Fprintf(w, "rispp_request_duration_seconds_sum %g\n", float64(m.latSumNS.Load())/1e9)
-	fmt.Fprintf(w, "rispp_request_duration_seconds_count %d\n", count)
+// writeMetrics renders the Prometheus text exposition: what s.met recorded,
+// plus live state read at scrape time from where it lives. Families come in
+// a fixed order and series in label order, so scrapes (and tests) are
+// stable.
+func (s *Server) writeMetrics(w io.Writer) {
+	m := s.met
+	m.requests.write(w, "rispp_requests_total", "Completed HTTP requests by route and status code.")
 
-	fmt.Fprintf(w, "# HELP rispp_endpoint_latency_seconds Request wall time by route (SLO series).\n")
-	fmt.Fprintf(w, "# TYPE rispp_endpoint_latency_seconds histogram\n")
+	family(w, "rispp_request_duration_seconds", "histogram", "Request wall time.")
+	writeHistogram(w, "rispp_request_duration_seconds", "", m.routeLat[:])
+	family(w, "rispp_endpoint_latency_seconds", "histogram", "Request wall time by route (SLO series).")
 	for ri, route := range metricRoutes {
-		h := &m.routeLat[ri]
-		n := h.count.Load()
-		if n == 0 {
-			continue
-		}
-		var c int64
-		for i, ub := range latencyBuckets {
-			c += h.bucket[i].Load()
-			fmt.Fprintf(w, "rispp_endpoint_latency_seconds_bucket{route=%q,le=%q} %d\n", route, formatBound(ub), c)
-		}
-		fmt.Fprintf(w, "rispp_endpoint_latency_seconds_bucket{route=%q,le=\"+Inf\"} %d\n", route, n)
-		fmt.Fprintf(w, "rispp_endpoint_latency_seconds_sum{route=%q} %g\n", route, float64(h.sumNS.Load())/1e9)
-		fmt.Fprintf(w, "rispp_endpoint_latency_seconds_count{route=%q} %d\n", route, n)
-	}
-
-	m.mu.Lock()
-	shedKeys := sortedKeys(m.sheds)
-	shedCounts := make([]int64, len(shedKeys))
-	for i, k := range shedKeys {
-		shedCounts[i] = m.sheds[k]
-	}
-	admitKeys := sortedKeys(m.admits)
-	admitCounts := make([]int64, len(admitKeys))
-	for i, k := range admitKeys {
-		admitCounts[i] = m.admits[k]
-	}
-	m.mu.Unlock()
-	fmt.Fprintf(w, "# HELP rispp_tenant_shed_total Requests rejected (429) by tenant and reason.\n")
-	fmt.Fprintf(w, "# TYPE rispp_tenant_shed_total counter\n")
-	for i, k := range shedKeys {
-		tenant, reason, _ := cutByte(k)
-		fmt.Fprintf(w, "rispp_tenant_shed_total{tenant=%q,reason=%q} %d\n", tenant, reason, shedCounts[i])
-	}
-	fmt.Fprintf(w, "# HELP rispp_tenant_admitted_total Slot acquisitions dispatched by tenant and priority class.\n")
-	fmt.Fprintf(w, "# TYPE rispp_tenant_admitted_total counter\n")
-	for i, k := range admitKeys {
-		tenant, class, _ := cutByte(k)
-		fmt.Fprintf(w, "rispp_tenant_admitted_total{tenant=%q,class=%q} %d\n", tenant, class, admitCounts[i])
-	}
-
-	if m.queueDepths != nil {
-		d := m.queueDepths()
-		fmt.Fprintf(w, "# HELP rispp_qos_queue_depth Requests waiting for a simulation slot by priority class.\n")
-		fmt.Fprintf(w, "# TYPE rispp_qos_queue_depth gauge\n")
-		for class := 0; class < numClasses; class++ {
-			fmt.Fprintf(w, "rispp_qos_queue_depth{class=%q} %d\n", className(class), d[class])
-		}
-	}
-	if m.costClasses != nil {
-		classes := m.costClasses()
-		names := make([]string, 0, len(classes))
-		for k := range classes {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(w, "# HELP rispp_cost_class_us Learned per-class simulation cost (EWMA, microseconds).\n")
-		fmt.Fprintf(w, "# TYPE rispp_cost_class_us gauge\n")
-		for _, k := range names {
-			fmt.Fprintf(w, "rispp_cost_class_us{class=%q} %g\n", k, classes[k])
+		if m.routeLat[ri].count.Load() > 0 {
+			writeHistogram(w, "rispp_endpoint_latency_seconds", route, m.routeLat[ri:ri+1])
 		}
 	}
 
-	fmt.Fprintf(w, "# HELP rispp_inflight_simulations Simulations currently holding a limiter slot.\n")
-	fmt.Fprintf(w, "# TYPE rispp_inflight_simulations gauge\n")
-	fmt.Fprintf(w, "rispp_inflight_simulations %d\n", m.inflight.Load())
+	m.sheds.write(w, "rispp_tenant_shed_total", "Requests rejected (429) by tenant and reason.")
+	m.admits.write(w, "rispp_tenant_admitted_total", "Slot acquisitions dispatched by tenant and priority class.")
 
-	fmt.Fprintf(w, "# HELP rispp_simulate_cache_total /v1/simulate response-cache lookups by outcome.\n")
-	fmt.Fprintf(w, "# TYPE rispp_simulate_cache_total counter\n")
+	depths := s.qos.queueDepths()
+	family(w, "rispp_qos_queue_depth", "gauge", "Requests waiting for a simulation slot by priority class.")
+	for class, d := range depths {
+		fmt.Fprintf(w, "rispp_qos_queue_depth{class=%q} %d\n", className(class), d)
+	}
+	classes := s.cost.snapshot()
+	names := make([]string, 0, len(classes))
+	for k := range classes {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	family(w, "rispp_cost_class_us", "gauge", "Learned per-class simulation cost (EWMA, microseconds).")
+	for _, k := range names {
+		fmt.Fprintf(w, "rispp_cost_class_us{class=%q} %g\n", k, classes[k])
+	}
+
+	single(w, "rispp_inflight_simulations", "gauge", "Simulations currently holding a limiter slot.", m.inflight.Load())
+	family(w, "rispp_simulate_cache_total", "counter", "/v1/simulate response-cache lookups by outcome.")
 	fmt.Fprintf(w, "rispp_simulate_cache_total{outcome=\"hit\"} %d\n", m.cacheHits.Load())
 	fmt.Fprintf(w, "rispp_simulate_cache_total{outcome=\"miss\"} %d\n", m.cacheMiss.Load())
+	single(w, "rispp_explore_cache_hits_total", "counter", "/v1/explore records answered from the result cache.", m.engineHits.Load())
+	single(w, "rispp_explore_simulated_total", "counter", "/v1/explore records simulated on this node (cache misses that ran).", m.engineSim.Load())
 
-	fmt.Fprintf(w, "# HELP rispp_explore_cache_hits_total /v1/explore records answered from the result cache.\n")
-	fmt.Fprintf(w, "# TYPE rispp_explore_cache_hits_total counter\n")
-	fmt.Fprintf(w, "rispp_explore_cache_hits_total %d\n", m.engineHits.Load())
-
-	fmt.Fprintf(w, "# HELP rispp_explore_simulated_total /v1/explore records simulated on this node (cache misses that ran).\n")
-	fmt.Fprintf(w, "# TYPE rispp_explore_simulated_total counter\n")
-	fmt.Fprintf(w, "rispp_explore_simulated_total %d\n", m.engineSim.Load())
-
-	if m.fabricStats != nil {
-		retries, failures, live, total := m.fabricStats()
-		fmt.Fprintf(w, "# HELP rispp_fabric_shard_retries_total Sweep points re-dispatched after a worker shard failed.\n")
-		fmt.Fprintf(w, "# TYPE rispp_fabric_shard_retries_total counter\n")
-		fmt.Fprintf(w, "rispp_fabric_shard_retries_total %d\n", retries)
-		fmt.Fprintf(w, "# HELP rispp_fabric_worker_failures_total Workers declared dead by the coordinator.\n")
-		fmt.Fprintf(w, "# TYPE rispp_fabric_worker_failures_total counter\n")
-		fmt.Fprintf(w, "rispp_fabric_worker_failures_total %d\n", failures)
-		fmt.Fprintf(w, "# HELP rispp_fabric_workers Registered fleet workers by liveness.\n")
-		fmt.Fprintf(w, "# TYPE rispp_fabric_workers gauge\n")
-		fmt.Fprintf(w, "rispp_fabric_workers{state=\"live\"} %d\n", live)
-		fmt.Fprintf(w, "rispp_fabric_workers{state=\"dead\"} %d\n", total-live)
-	}
-	if m.jobStats != nil {
-		running, retained := m.jobStats()
-		fmt.Fprintf(w, "# HELP rispp_jobs Async sweep jobs in the store by state.\n")
-		fmt.Fprintf(w, "# TYPE rispp_jobs gauge\n")
-		fmt.Fprintf(w, "rispp_jobs{state=\"running\"} %d\n", running)
-		fmt.Fprintf(w, "rispp_jobs{state=\"terminal\"} %d\n", retained-running)
-	}
-
-	m.mu.Lock()
-	strats := make([]string, 0, len(m.suggests))
-	for k := range m.suggests {
-		strats = append(strats, k)
-	}
-	sort.Strings(strats)
-	suggestCounts := make([]int64, len(strats))
-	for i, k := range strats {
-		suggestCounts[i] = m.suggests[k]
-	}
-	m.mu.Unlock()
-	fmt.Fprintf(w, "# HELP rispp_search_suggest_total Answered /v1/suggest requests by strategy.\n")
-	fmt.Fprintf(w, "# TYPE rispp_search_suggest_total counter\n")
-	for i, k := range strats {
-		fmt.Fprintf(w, "rispp_search_suggest_total{strategy=%q} %d\n", k, suggestCounts[i])
-	}
-	fmt.Fprintf(w, "# HELP rispp_search_suggested_points_total Design points proposed by /v1/suggest.\n")
-	fmt.Fprintf(w, "# TYPE rispp_search_suggested_points_total counter\n")
-	fmt.Fprintf(w, "rispp_search_suggested_points_total %d\n", m.suggestPoints.Load())
-	fmt.Fprintf(w, "# HELP rispp_search_front_size Pareto-front size of the most recent /v1/suggest reply.\n")
-	fmt.Fprintf(w, "# TYPE rispp_search_front_size gauge\n")
-	fmt.Fprintf(w, "rispp_search_front_size %d\n", m.frontSize.Load())
-
-	if m.poolStats != nil {
-		hits, misses := m.poolStats()
-		fmt.Fprintf(w, "# HELP rispp_runtime_pool_total Runtime-pool requests by outcome (hit = reused arena, miss = fresh build).\n")
-		fmt.Fprintf(w, "# TYPE rispp_runtime_pool_total counter\n")
-		fmt.Fprintf(w, "rispp_runtime_pool_total{outcome=\"hit\"} %d\n", hits)
-		fmt.Fprintf(w, "rispp_runtime_pool_total{outcome=\"miss\"} %d\n", misses)
-	}
-
-	fmt.Fprintf(w, "# HELP rispp_panics_total Recovered handler panics.\n")
-	fmt.Fprintf(w, "# TYPE rispp_panics_total counter\n")
-	fmt.Fprintf(w, "rispp_panics_total %d\n", m.panics.Load())
-}
-
-func (m *metrics) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	m.write(w)
-}
-
-// sortedKeys snapshots a counter map's keys in stable order (callers hold
-// mu).
-func sortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func cutByte(k string) (route, code string, ok bool) {
-	for i := 0; i < len(k); i++ {
-		if k[i] == 0 {
-			return k[:i], k[i+1:], true
+	if s.coord != nil {
+		retries, failures := s.coord.Stats()
+		workers := s.coord.Workers()
+		live := 0
+		for _, wk := range workers {
+			if wk.Alive {
+				live++
+			}
 		}
+		single(w, "rispp_fabric_shard_retries_total", "counter", "Sweep points re-dispatched after a worker shard failed.", retries)
+		single(w, "rispp_fabric_worker_failures_total", "counter", "Workers declared dead by the coordinator.", failures)
+		family(w, "rispp_fabric_workers", "gauge", "Registered fleet workers by liveness.")
+		fmt.Fprintf(w, "rispp_fabric_workers{state=\"live\"} %d\n", live)
+		fmt.Fprintf(w, "rispp_fabric_workers{state=\"dead\"} %d\n", len(workers)-live)
 	}
-	return k, "", false
+	running, retained := s.jobs.Counts()
+	family(w, "rispp_jobs", "gauge", "Async sweep jobs in the store by state.")
+	fmt.Fprintf(w, "rispp_jobs{state=\"running\"} %d\n", running)
+	fmt.Fprintf(w, "rispp_jobs{state=\"terminal\"} %d\n", retained-running)
+
+	m.suggests.write(w, "rispp_search_suggest_total", "Answered /v1/suggest requests by strategy.")
+	single(w, "rispp_search_suggested_points_total", "counter", "Design points proposed by /v1/suggest.", m.suggestPoints.Load())
+	single(w, "rispp_search_front_size", "gauge", "Pareto-front size of the most recent /v1/suggest reply.", m.frontSize.Load())
+
+	hits, misses := s.runner.RuntimePoolStats()
+	family(w, "rispp_runtime_pool_total", "counter", "Runtime-pool requests by outcome (hit = reused arena, miss = fresh build).")
+	fmt.Fprintf(w, "rispp_runtime_pool_total{outcome=\"hit\"} %d\n", hits)
+	fmt.Fprintf(w, "rispp_runtime_pool_total{outcome=\"miss\"} %d\n", misses)
+
+	single(w, "rispp_panics_total", "counter", "Recovered handler panics.", m.panics.Load())
+}
+
+// handleMetrics answers GET /metrics.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	s.writeMetrics(w)
+}
+
+// Metrics returns the Prometheus exposition as a string (CLI convenience).
+func (s *Server) Metrics() string {
+	var b strings.Builder
+	s.writeMetrics(&b)
+	return b.String()
 }
 
 // formatBound renders a bucket bound the way Prometheus clients do:

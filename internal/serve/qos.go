@@ -359,7 +359,7 @@ func (q *qsched) admit(tenant string, cost float64) error {
 
 func (q *qsched) shedLocked(tenant, reason string) {
 	if q.met != nil {
-		q.met.tenantShed(tenant, reason)
+		q.met.sheds.inc(tenant, reason)
 	}
 }
 
@@ -447,7 +447,7 @@ func (q *qsched) grantLocked(w *waiter) {
 		q.vtime = w.vstart
 	}
 	if q.met != nil {
-		q.met.tenantAdmit(w.tenant.name, w.class)
+		q.met.admits.inc(w.tenant.name, className(w.class))
 	}
 }
 

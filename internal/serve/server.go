@@ -89,12 +89,8 @@ func New(cfg Config, base rispp.Config) *Server {
 	s.qos = newQsched(cfg.Workers, cfg.QoS, s.met)
 	s.cost = newCostModel()
 	s.runPoint = runner.RunPoint
-	s.met.poolStats = runner.RuntimePoolStats
-	s.met.queueDepths = s.qos.queueDepths
-	s.met.costClasses = s.cost.snapshot
 	s.jobs = fabric.NewJobStore(cfg.MaxJobs)
 	s.jobsCtx, s.jobsCancel = context.WithCancel(context.Background())
-	s.met.jobStats = s.jobs.Counts
 	s.mux.HandleFunc("/v1/simulate", s.wrap("/v1/simulate", s.handleSimulate))
 	s.mux.HandleFunc("/v1/explore", s.wrap("/v1/explore", s.handleExplore))
 	s.mux.HandleFunc("/v1/suggest", s.wrap("/v1/suggest", s.handleSuggest))
@@ -104,7 +100,7 @@ func New(cfg Config, base rispp.Config) *Server {
 	s.mux.HandleFunc("/v1/jobs/", s.wrap("/v1/jobs/", s.handleJob))
 	s.mux.HandleFunc("/v1/cache/", s.wrap("/v1/cache/", s.handleCache))
 	s.mux.HandleFunc("/v1/workers", s.wrap("/v1/workers", s.handleWorkers))
-	s.mux.Handle("/metrics", s.met)
+	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	if cfg.EnablePprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -162,21 +158,8 @@ func (s *Server) SetExploreStore(st explore.Store, raw *explore.Cache) {
 // starts handling requests.
 func (s *Server) SetCoordinator(c *fabric.Coordinator) {
 	s.coord = c
-	if c != nil {
-		if c.Logf == nil {
-			c.Logf = s.logf
-		}
-		s.met.fabricStats = func() (int64, int64, int, int) {
-			retries, failures := c.Stats()
-			ws := c.Workers()
-			live := 0
-			for _, w := range ws {
-				if w.Alive {
-					live++
-				}
-			}
-			return retries, failures, live, len(ws)
-		}
+	if c != nil && c.Logf == nil {
+		c.Logf = s.logf
 	}
 }
 
@@ -186,18 +169,6 @@ func (s *Server) Coordinator() *fabric.Coordinator { return s.coord }
 // Handler returns the root handler — the full service including metrics,
 // drain behavior and panic recovery — for tests and custom servers.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Metrics returns the Prometheus exposition as a string (CLI convenience).
-func (s *Server) Metrics() string {
-	var b []byte
-	w := &byteWriter{&b}
-	s.met.write(w)
-	return string(b)
-}
-
-type byteWriter struct{ b *[]byte }
-
-func (w *byteWriter) Write(p []byte) (int, error) { *w.b = append(*w.b, p...); return len(p), nil }
 
 // statusRecorder captures the status code a handler wrote.
 type statusRecorder struct {
