@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race bench bench-paper bench-check bench-baseline bench-json prof-diff cover-check verify-oracle fuzz search-smoke soak fabric-smoke e2ebench-check lint loc serve figures verify clean
+.PHONY: all build test short race bench bench-paper bench-check bench-baseline prof-diff cover-check verify-oracle fuzz search-smoke soak fabric-smoke e2ebench-check lint loc serve figures verify clean
 
 all: build test
 
@@ -52,28 +52,29 @@ bench-baseline:
 	$(GO) run ./scripts/benchcheck -update -baseline BENCH_baseline.json < bench_baseline.txt
 	rm -f bench_baseline.txt
 
-# Snapshot the current hot-path numbers — the simulator, the engine
-# sweep, and the fabric sweep (BenchmarkFabricSweep/workers=N is the
-# sharded-vs-serialized speedup table; BenchmarkFabricOverhead the
-# coordinator tax) — into BENCH_pr10.json, same format and reduction
-# (min of 5) as BENCH_baseline.json, for before/after tables.
-bench-json:
-	$(GO) test -run '^$$' -bench BenchmarkRun -benchtime 100x -benchmem -count 5 ./internal/sim > bench_json.txt
-	$(GO) test -run '^$$' -bench BenchmarkSweep -benchtime 20x -benchmem -count 5 . >> bench_json.txt
-	$(GO) test -run '^$$' -bench BenchmarkFabric -benchtime 5x -benchmem -count 5 ./internal/fabric >> bench_json.txt
-	$(GO) run ./scripts/benchcheck -update -baseline BENCH_pr10.json < bench_json.txt
-	rm -f bench_json.txt
-
-# Before/after CPU+heap profile delta for one named benchmark. First run
-# records the "before" snapshot (do this on the base commit), the second —
-# after applying the change — prints top-N cumulative delta tables.
+# Before/after CPU+heap profile delta for one named benchmark, run at a
+# fixed 1000 iterations per repeat. The first run records the "before"
+# profiles under .profdiff/ (do this on the base commit); the second, after
+# applying the change, records "after" and prints `go tool pprof -top -cum
+# -diff_base` tables for CPU and for alloc_space.
 # Usage: make prof-diff PROF_BENCH=BenchmarkRunHEF PROF_PKG=./internal/sim
 # Add PROF_RESET=1 to discard a stale "before" and start over.
 PROF_BENCH ?= BenchmarkRunHEF
 PROF_PKG ?= ./internal/sim
 PROF_COUNT ?= 5
+PROF_OUT = $(CURDIR)/.profdiff/$(PROF_BENCH)
 prof-diff:
-	$(GO) run ./scripts/profdiff -bench '$(PROF_BENCH)' -pkg '$(PROF_PKG)' -count $(PROF_COUNT) $(if $(PROF_RESET),-reset,)
+	@mkdir -p .profdiff
+	$(if $(PROF_RESET),rm -f $(PROF_OUT).*)
+	@if [ -f $(PROF_OUT).before.cpu.pprof ]; then side=after; else side=before; fi; \
+	$(GO) test -run '^$$' -bench '^$(PROF_BENCH)$$' -benchtime 1000x -count $(PROF_COUNT) -o $(PROF_OUT).$$side.test \
+		-cpuprofile $(PROF_OUT).$$side.cpu.pprof -memprofile $(PROF_OUT).$$side.mem.pprof $(PROF_PKG) || exit 1; \
+	if [ $$side = before ]; then \
+		echo "recorded the before profiles of $(PROF_BENCH) under .profdiff/; apply the change and run again"; \
+	else \
+		$(GO) tool pprof -top -cum -nodecount 25 -diff_base $(PROF_OUT).before.cpu.pprof $(PROF_OUT).after.cpu.pprof && \
+		$(GO) tool pprof -top -cum -nodecount 25 -sample_index alloc_space -diff_base $(PROF_OUT).before.mem.pprof $(PROF_OUT).after.mem.pprof; \
+	fi
 
 # Coverage floor gate (what the coverage CI job runs).
 cover-check:
@@ -161,4 +162,4 @@ verify:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
 clean:
-	rm -rf figures search_smoke test_output.txt bench_output.txt bench_check.txt bench_baseline.txt bench_json.txt cover.out cpu.pprof mem.pprof .profdiff soak-report.json soak-pprof fleet-report.json
+	rm -rf figures search_smoke test_output.txt bench_output.txt bench_check.txt bench_baseline.txt cover.out cpu.pprof mem.pprof .profdiff soak-report.json soak-pprof fleet-report.json

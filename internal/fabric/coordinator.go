@@ -133,7 +133,7 @@ func (c *Coordinator) live() (ids []string, urls map[string]string) {
 	return ids, urls
 }
 
-func (c *Coordinator) markDead(id, reason string) {
+func (c *Coordinator) failWorker(id, reason string) {
 	c.failures.Add(1)
 	c.mu.Lock()
 	if w, ok := c.workers[id]; ok && w.Alive {
@@ -324,7 +324,7 @@ func (c *Coordinator) runShard(ctx context.Context, id, url string, points []exp
 		// Only the worker is at fault when the parent sweep is still live;
 		// a canceled sweep tears down shard requests by design.
 		if ctx.Err() == nil {
-			c.markDead(id, reason)
+			c.failWorker(id, reason)
 		}
 		return idxs[k:]
 	}

@@ -111,141 +111,6 @@ func TestAlternatingWorkloadLimitCycle(t *testing.T) {
 	}
 }
 
-// refMonitor is the O(SIs)-per-leave full-scan reference implementation:
-// the obviously-correct form of the update (visit every SI of the ISA on
-// every leave) the incremental O(changed) LeaveHotSpot must match exactly.
-type refMonitor struct {
-	is       *isa.ISA
-	shift    uint
-	expected map[isa.HotSpotID][]int64
-	counts   []int64
-	current  isa.HotSpotID
-	inSpot   bool
-	observed map[isa.HotSpotID]int
-	absError int64
-	samples  int
-}
-
-func newRef(is *isa.ISA, shift uint) *refMonitor {
-	return &refMonitor{
-		is: is, shift: shift,
-		expected: make(map[isa.HotSpotID][]int64),
-		counts:   make([]int64, len(is.SIs)),
-		observed: make(map[isa.HotSpotID]int),
-	}
-}
-
-func (m *refMonitor) enter(h isa.HotSpotID) {
-	if m.inSpot {
-		m.leave()
-	}
-	m.current, m.inSpot = h, true
-}
-
-func (m *refMonitor) record(si isa.SIID, n int64) { m.counts[si] += n }
-
-func (m *refMonitor) leave() {
-	if !m.inSpot {
-		return
-	}
-	e := m.expected[m.current]
-	if e == nil {
-		e = make([]int64, len(m.is.SIs))
-		m.expected[m.current] = e
-	}
-	first := m.observed[m.current] == 0
-	for si := range m.is.SIs {
-		if m.counts[si] == 0 && e[si] == 0 {
-			continue // the skip the full scan always had
-		}
-		diff := m.counts[si] - e[si]
-		if diff < 0 {
-			m.absError += -diff
-		} else {
-			m.absError += diff
-		}
-		m.samples++
-		if first && e[si] == 0 {
-			e[si] = m.counts[si]
-		} else {
-			e[si] += diff >> m.shift
-		}
-		m.counts[si] = 0
-	}
-	m.observed[m.current]++
-	m.inSpot = false
-}
-
-// TestIncrementalMatchesFullScan drives the incremental monitor and the
-// full-scan reference through identical random phase sequences (random hot
-// spots, sparse random SI records, interleaved seeds and re-entries) and
-// requires every observable — all (hot spot, SI) expectations, AbsError,
-// Samples, ObservedSpots — to match exactly at every phase boundary.
-func TestIncrementalMatchesFullScan(t *testing.T) {
-	is := isa.H264()
-	for seed := int64(0); seed < 30; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		shift := uint(r.Intn(3)) + 1
-		m := New(is, shift)
-		ref := newRef(is, shift)
-
-		// Occasional a-priori seeds, correct or wildly wrong.
-		for _, si := range []isa.SIID{isa.SISAD, isa.SIDCT} {
-			if r.Intn(2) == 0 {
-				v := r.Int63n(50_000)
-				m.Seed(si, v)
-				h := is.SI(si).HotSpot
-				if ref.expected[h] == nil {
-					ref.expected[h] = make([]int64, len(is.SIs))
-				}
-				ref.expected[h][si] = v
-			}
-		}
-
-		for phase := 0; phase < 200; phase++ {
-			h := isa.HotSpotID(r.Intn(len(is.HotSpots)))
-			m.EnterHotSpot(h)
-			ref.enter(h)
-			sis := is.HotSpotSIs(h)
-			for _, si := range sis {
-				if r.Intn(3) == 0 {
-					continue // sparse: most phases touch a subset
-				}
-				n := r.Int63n(2000)
-				if n == 0 {
-					continue
-				}
-				m.Record(si.ID, n)
-				ref.record(si.ID, n)
-			}
-			m.LeaveHotSpot()
-			ref.leave()
-
-			for hh := range is.HotSpots {
-				for si := range is.SIs {
-					got := m.Expected(isa.HotSpotID(hh), isa.SIID(si))
-					var want int64
-					if e := ref.expected[isa.HotSpotID(hh)]; e != nil {
-						want = e[si]
-					}
-					if got != want {
-						t.Fatalf("seed %d phase %d: Expected(%d, %d) = %d, reference %d",
-							seed, phase, hh, si, got, want)
-					}
-				}
-			}
-			if m.AbsError != ref.absError || m.Samples != ref.samples {
-				t.Fatalf("seed %d phase %d: AbsError/Samples %d/%d, reference %d/%d",
-					seed, phase, m.AbsError, m.Samples, ref.absError, ref.samples)
-			}
-			if m.ObservedSpots[h] != ref.observed[h] {
-				t.Fatalf("seed %d phase %d: ObservedSpots[%d] = %d, reference %d",
-					seed, phase, h, m.ObservedSpots[h], ref.observed[h])
-			}
-		}
-	}
-}
-
 // TestForecastMissErrorAccounting: MeanAbsError over a workload whose
 // counts the forecaster can never track (fresh hot spot each time it has
 // adapted) stays an order of magnitude above the steady-workload error —

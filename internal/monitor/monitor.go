@@ -36,17 +36,6 @@ type Monitor struct {
 	inSpot     bool
 	successors map[isa.HotSpotID]map[isa.HotSpotID]int // hot-spot rotation
 
-	// Incremental-update bookkeeping: LeaveHotSpot must visit exactly the
-	// SIs with counts[si] != 0 or expected[si] != 0. touched lists the
-	// former (appended on a counter's 0→nonzero transition), nz[h] is a
-	// superset of the latter (rebuilt exactly on every LeaveHotSpot), and
-	// mark/epoch dedupe the union of the two lists without a clearing pass.
-	touched []isa.SIID
-	nz      map[isa.HotSpotID][]isa.SIID
-	mark    []uint32
-	epoch   uint32
-	nzSwap  []isa.SIID
-
 	// ObservedSpots counts completed hot-spot executions per hot spot.
 	ObservedSpots map[isa.HotSpotID]int
 	// AbsError accumulates |measured − previous expectation| per SI across
@@ -63,8 +52,6 @@ func New(is *isa.ISA, shift uint) *Monitor {
 		shift:         shift,
 		expected:      make(map[isa.HotSpotID][]int64),
 		counts:        make([]int64, len(is.SIs)),
-		nz:            make(map[isa.HotSpotID][]isa.SIID),
-		mark:          make([]uint32, len(is.SIs)),
 		ObservedSpots: make(map[isa.HotSpotID]int),
 	}
 }
@@ -82,10 +69,6 @@ func (m *Monitor) Reset() {
 	}
 	for i := range m.counts {
 		m.counts[i] = 0
-	}
-	m.touched = m.touched[:0]
-	for h := range m.nz {
-		m.nz[h] = m.nz[h][:0]
 	}
 	m.current = 0
 	m.inSpot = false
@@ -105,21 +88,6 @@ func (m *Monitor) Seed(si isa.SIID, expected int64) {
 	h := m.is.SI(si).HotSpot
 	m.expected[h] = m.ensure(h)
 	m.expected[h][si] = expected
-	if expected != 0 {
-		m.noteNonzero(h, si)
-	}
-}
-
-// noteNonzero registers si in the nonzero-expectation list of hot spot h,
-// preserving the nz ⊇ {si : expected[si] ≠ 0} invariant. Linear dedupe —
-// only called from cold paths (Seed, RestoreFrom fallback).
-func (m *Monitor) noteNonzero(h isa.HotSpotID, si isa.SIID) {
-	for _, x := range m.nz[h] {
-		if x == si {
-			return
-		}
-	}
-	m.nz[h] = append(m.nz[h], si)
 }
 
 func (m *Monitor) ensure(h isa.HotSpotID) []int64 {
@@ -147,73 +115,44 @@ func (m *Monitor) Record(si isa.SIID, n int64) {
 	if !m.inSpot {
 		panic("monitor: Record outside a hot spot")
 	}
-	if n == 0 {
-		return
-	}
-	if m.counts[si] == 0 {
-		m.touched = append(m.touched, si)
-	}
 	m.counts[si] += n
 }
 
-// LeaveHotSpot finalizes the current hot spot execution: expectations are
-// updated from the measured counts. Cost is O(changed) — proportional to
-// the SIs that executed this round plus the SIs with a nonzero expectation
-// for this hot spot — not O(SIs): the update below visits exactly the SIs
-// the old full scan would not have skipped (counts ≠ 0 or expected ≠ 0),
-// so AbsError/Samples and every expectation update are order-independent
-// sums over the identical set.
+// LeaveHotSpot finalizes the current hot spot execution: the expectation
+// of every SI that executed this round or was expected to is updated from
+// its measured count, and the counters are zeroed for the next hot spot.
+// SIs with neither a count nor an expectation keep their zero forecast and
+// add no forecast-error sample.
 func (m *Monitor) LeaveHotSpot() {
 	if !m.inSpot {
 		return
 	}
 	e := m.ensure(m.current)
 	first := m.ObservedSpots[m.current] == 0
-	m.epoch++
-	keep := m.nzSwap[:0]
-	for _, si := range m.touched {
-		m.mark[si] = m.epoch
-		m.settle(e, si, first)
-		if e[si] != 0 {
-			keep = append(keep, si)
+	for si, n := range m.counts {
+		if n == 0 && e[si] == 0 {
+			continue
+		}
+		diff := n - e[si]
+		if diff < 0 {
+			m.AbsError += -diff
+		} else {
+			m.AbsError += diff
+		}
+		m.Samples++
+		if first && e[si] == 0 {
+			// Cold start: adopt the first measurement outright instead of
+			// halving toward it.
+			e[si] = n
+		} else {
+			// Arithmetic shift: negative diffs round toward −∞, so the
+			// expectation can always decay back to zero.
+			e[si] += diff >> m.shift
 		}
 		m.counts[si] = 0
 	}
-	for _, si := range m.nz[m.current] {
-		if m.mark[si] == m.epoch || e[si] == 0 {
-			continue
-		}
-		m.mark[si] = m.epoch
-		m.settle(e, si, first)
-		if e[si] != 0 {
-			keep = append(keep, si)
-		}
-	}
-	m.nzSwap = m.nz[m.current][:0]
-	m.nz[m.current] = keep
-	m.touched = m.touched[:0]
 	m.ObservedSpots[m.current]++
 	m.inSpot = false
-}
-
-// settle applies the smoothing update for one SI of the current hot spot.
-func (m *Monitor) settle(e []int64, si isa.SIID, first bool) {
-	diff := m.counts[si] - e[si]
-	if diff < 0 {
-		m.AbsError += -diff
-	} else {
-		m.AbsError += diff
-	}
-	m.Samples++
-	if first && e[si] == 0 {
-		// Cold start: adopt the first measurement outright instead of
-		// halving toward it.
-		e[si] = m.counts[si]
-	} else {
-		// Arithmetic shift: negative diffs round toward −∞, so the
-		// expectation can always decay back to zero.
-		e[si] += diff >> m.shift
-	}
 }
 
 // Expected returns the expected number of executions of SI si the next time
@@ -253,7 +192,6 @@ func (m *Monitor) String() string {
 // RestoreFrom. Arenas inside are reused across saves.
 type State struct {
 	expected   map[isa.HotSpotID][]int64
-	nz         map[isa.HotSpotID][]isa.SIID
 	successors map[isa.HotSpotID]map[isa.HotSpotID]int
 	observed   map[isa.HotSpotID]int
 	current    isa.HotSpotID
@@ -270,13 +208,11 @@ func (m *Monitor) SaveInto(dst *State) {
 	}
 	if dst.expected == nil {
 		dst.expected = make(map[isa.HotSpotID][]int64)
-		dst.nz = make(map[isa.HotSpotID][]isa.SIID)
 		dst.observed = make(map[isa.HotSpotID]int)
 	}
 	for h := range dst.expected {
 		if _, ok := m.expected[h]; !ok {
 			delete(dst.expected, h)
-			delete(dst.nz, h)
 		}
 	}
 	for h, e := range m.expected {
@@ -287,7 +223,6 @@ func (m *Monitor) SaveInto(dst *State) {
 		de = de[:len(e)]
 		copy(de, e)
 		dst.expected[h] = de
-		dst.nz[h] = append(dst.nz[h][:0], m.nz[h]...)
 	}
 	if m.successors != nil && dst.successors == nil {
 		dst.successors = make(map[isa.HotSpotID]map[isa.HotSpotID]int)
@@ -328,18 +263,15 @@ func (m *Monitor) RestoreFrom(src *State) {
 			for i := range e {
 				e[i] = 0
 			}
-			m.nz[h] = m.nz[h][:0]
 		}
 	}
 	for h, se := range src.expected {
 		e := m.ensure(h)
 		copy(e, se)
-		m.nz[h] = append(m.nz[h][:0], src.nz[h]...)
 	}
 	for i := range m.counts {
 		m.counts[i] = 0
 	}
-	m.touched = m.touched[:0]
 	m.inSpot = false
 	m.current = src.current
 	for h, row := range m.successors {

@@ -3,8 +3,8 @@
 // fresh from-power-on run at the recorded budget — including the JSONL
 // journal byte for byte — and every other budget must be refused, across
 // the oracle's seeded generators and all six run-time systems. A third
-// corpus pins the scheduler kernels against the choose-based reference
-// loop on the same generated hardware.
+// corpus checks every scheduling strategy for valid schedules on the same
+// generated hardware.
 package oracle_test
 
 import (
@@ -12,7 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"rispp/internal/isa"
@@ -210,12 +210,13 @@ func TestCheckpointExtensionGeneratedCorpus(t *testing.T) {
 	t.Logf("%d extended resumes, %d refusals with exact fallback runs", extended, refused)
 }
 
-// TestKernelEquivalenceGeneratedCorpus pins the specialized scheduler
-// kernels against the reference loop on the oracle's generated hardware —
-// a richer Molecule-library distribution than the sched package's own
-// random ISAs.
-func TestKernelEquivalenceGeneratedCorpus(t *testing.T) {
+// TestScheduleValidGeneratedCorpus checks every scheduling strategy on the
+// oracle's generated hardware — a richer Molecule-library distribution than
+// the sched package's own random ISAs: each schedule is valid, and a
+// Scratch reused across the whole corpus yields the fresh one's sequence.
+func TestScheduleValidGeneratedCorpus(t *testing.T) {
 	names := []string{"FSFR", "ASF", "SJF", "HEF", "HEF-unnorm"}
+	sc := sched.NewScratch()
 	for seed := int64(0); seed < checkpointSeeds; seed++ {
 		r := rand.New(rand.NewSource(seed + 7919))
 		is := oracle.GenHardware(r)
@@ -240,13 +241,12 @@ func TestKernelEquivalenceGeneratedCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := sched.ScheduleInto(s, sched.NewScratch(), reqs, avail)
-			want := sched.ScheduleReference(s, sched.NewScratch(), reqs, avail)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("seed %d, %s: kernel %v != reference %v", seed, name, got, want)
-			}
+			got := s.Schedule(reqs, avail)
 			if err := sched.Valid(got, reqs, avail); err != nil {
-				t.Errorf("seed %d, %s: invalid kernel schedule: %v", seed, name, err)
+				t.Errorf("seed %d, %s: invalid schedule: %v", seed, name, err)
+			}
+			if reused := sched.ScheduleInto(s, sc, reqs, avail); !slices.Equal(reused, got) {
+				t.Errorf("seed %d, %s: reused scratch %v != fresh %v", seed, name, reused, got)
 			}
 		}
 	}

@@ -178,23 +178,12 @@ func (a *Array) Free() int {
 	return free
 }
 
-// Touch records that an execution at time now used Atoms of the given
-// Molecule vector, refreshing recency for LRU eviction. For each required
-// instance count the most-recently-used slots of that type are touched.
-func (a *Array) Touch(atoms molecule.Vector, now Cycle) {
-	for i := range a.slots {
-		s := &a.slots[i]
-		if s.occupied && atoms[int(s.atom)] > 0 {
-			s.usedAt = now
-		}
-	}
-}
-
-// AppendTouchSlots appends to dst the indices of the slots Touch(atoms, ·)
-// would stamp in the array's current occupancy. Callers that execute the
-// same Molecule many times between array mutations (the Manager's per-burst
-// Record path) precompute this list once per mutation and stamp through
-// TouchSlots instead of rescanning every slot per burst.
+// AppendTouchSlots appends to dst the indices of the occupied slots holding
+// an Atom type the Molecule vector atoms uses: the slots an execution of
+// that Molecule refreshes for LRU eviction. Callers that execute the same
+// Molecule many times between array mutations (the Manager's per-burst
+// Record path) precompute this list once per mutation and stamp it through
+// TouchSlots on every execution.
 func (a *Array) AppendTouchSlots(dst []int32, atoms molecule.Vector) []int32 {
 	for i := range a.slots {
 		s := &a.slots[i]
@@ -436,9 +425,6 @@ func (p *Port) Schedule(now Cycle, atoms []isa.AtomID) {
 		p.readyAt = now
 	}
 }
-
-// Pending returns the Atoms scheduled but not yet started.
-func (p *Port) Pending() []isa.AtomID { return p.pending[p.phead:] }
 
 // Busy reports whether a reconfiguration is in flight or queued.
 func (p *Port) Busy() bool { return p.hasInflite || len(p.pending) > p.phead }

@@ -66,7 +66,7 @@ func TestArrayEvictsLRU(t *testing.T) {
 	a.Install(0, needed, 1)
 	a.Install(1, needed, 2)
 	// Touch Atom 0 so Atom 1 becomes LRU.
-	a.Touch(molecule.Of(1, 0, 0), 5)
+	a.TouchSlots(a.AppendTouchSlots(nil, molecule.Of(1, 0, 0)), 5)
 	a.Install(2, needed, 10)
 	if !a.Loaded().Equal(molecule.Of(1, 0, 1)) {
 		t.Fatalf("loaded after LRU eviction = %v, want (1, 0, 1)", a.Loaded())
@@ -82,7 +82,7 @@ func TestArrayEvictsFIFO(t *testing.T) {
 	a.Install(0, needed, 1)
 	a.Install(1, needed, 2)
 	// Touching does not matter for FIFO: Atom 0 was loaded first.
-	a.Touch(molecule.Of(1, 0, 0), 5)
+	a.TouchSlots(a.AppendTouchSlots(nil, molecule.Of(1, 0, 0)), 5)
 	a.Install(2, needed, 10)
 	if !a.Loaded().Equal(molecule.Of(0, 1, 1)) {
 		t.Fatalf("loaded after FIFO eviction = %v, want (0, 1, 1)", a.Loaded())

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rispp/internal/isa"
@@ -115,6 +116,42 @@ func TestSchedulePrefixesAreMonotone(t *testing.T) {
 					}
 					prev[si.ID] = lat
 				}
+			}
+		}
+	}
+}
+
+// TestScratchReuse: a dirty Scratch, left over from a different instance
+// (other Atom dimension, other SIs, other strategy), must not leak into the
+// next schedule. For every strategy, the HEF ablation included, a Scratch
+// reused across random instances gives the sequence of a fresh one.
+func TestScratchReuse(t *testing.T) {
+	names := append(append([]string(nil), Names...), "HEF-unnorm")
+	rng := rand.New(rand.NewSource(43))
+	sc := NewScratch()
+	for i := 0; i < 100; i++ {
+		dim := 2 + rng.Intn(5)
+		is := isatest.RandomISA(rng, dim, 1+rng.Intn(4))
+		var reqs []Request
+		for j := range is.SIs {
+			si := &is.SIs[j]
+			// Zero expectations included: HEF skips such SIs.
+			sel := si.Molecules[rng.Intn(len(si.Molecules))]
+			reqs = append(reqs, Request{SI: si, Selected: sel, Expected: int64(rng.Intn(100))})
+		}
+		avail := molecule.New(dim)
+		for a := 0; a < dim; a++ {
+			avail[a] = rng.Intn(3)
+		}
+		for _, name := range names {
+			s, err := New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := s.Schedule(reqs, avail)
+			got := ScheduleInto(s, sc, reqs, avail) // reused across all iterations
+			if !slices.Equal(got, want) {
+				t.Fatalf("iteration %d, %s: reused scratch %v != fresh %v", i, name, got, want)
 			}
 		}
 	}

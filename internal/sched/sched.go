@@ -74,13 +74,6 @@ type Scratch struct {
 	cands   []isa.Molecule
 	ids     []isa.SIID
 	reqs    []Request // the request set of the current call (borrowed)
-
-	// Kernel tables (kernels.go): per-candidate Atom deficit, forecast and
-	// retirement flag, plus per-SI importance for the ordering sort.
-	kAdd  []int32
-	kExp  []int64
-	kDead []bool
-	kImp  []int64
 }
 
 // NewScratch returns an empty Scratch; it sizes itself from the first
@@ -290,26 +283,10 @@ func ScheduleInto(s Scheduler, sc *Scratch, reqs []Request, avail molecule.Vecto
 	return s.Schedule(reqs, avail)
 }
 
-// ScheduleReference is ScheduleInto through the original choose-based
-// reference loop instead of the specialized kernels. It exists for
-// verification only: the kernels must emit the exact same Atom sequence
-// (see kernels_test.go and the oracle corpus), and equivalence checkers
-// outside this package call the reference through here.
-func ScheduleReference(s Scheduler, sc *Scratch, reqs []Request, avail molecule.Vector) []isa.AtomID {
-	if ss, ok := s.(scratchScheduler); ok {
-		return ss.scheduleGeneric(sc, reqs, avail)
-	}
-	return s.Schedule(reqs, avail)
-}
-
 // scratchScheduler is implemented by the built-in strategies: scheduling
-// into caller-owned scratch with results identical to Schedule. schedule is
-// the specialized kernel (kernels.go); scheduleGeneric the original
-// choose-based loop, retained as the reference the equivalence property
-// tests pin the kernels against.
+// into caller-owned scratch with results identical to Schedule.
 type scratchScheduler interface {
 	schedule(sc *Scratch, reqs []Request, avail molecule.Vector) []isa.AtomID
-	scheduleGeneric(sc *Scratch, reqs []Request, avail molecule.Vector) []isa.AtomID
 }
 
 // --- FSFR: First Select First Reconfigure -------------------------------
@@ -327,7 +304,7 @@ func (s fsfr) Schedule(reqs []Request, avail molecule.Vector) []isa.AtomID {
 	return s.schedule(NewScratch(), reqs, avail)
 }
 
-func (fsfr) scheduleGeneric(sc *Scratch, reqs []Request, avail molecule.Vector) []isa.AtomID {
+func (fsfr) schedule(sc *Scratch, reqs []Request, avail molecule.Vector) []isa.AtomID {
 	st := newState(sc, reqs, avail)
 	for _, si := range orderSIs(reqs, st) {
 		st.commit(st.byID(si).Selected)
@@ -347,7 +324,7 @@ func (s asf) Schedule(reqs []Request, avail molecule.Vector) []isa.AtomID {
 	return s.schedule(NewScratch(), reqs, avail)
 }
 
-func (asf) scheduleGeneric(sc *Scratch, reqs []Request, avail molecule.Vector) []isa.AtomID {
+func (asf) schedule(sc *Scratch, reqs []Request, avail molecule.Vector) []isa.AtomID {
 	st := newState(sc, reqs, avail)
 	cands := st.candidates()
 	order := orderSIs(reqs, st)
@@ -383,7 +360,7 @@ func (s sjf) Schedule(reqs []Request, avail molecule.Vector) []isa.AtomID {
 	return s.schedule(NewScratch(), reqs, avail)
 }
 
-func (sjf) scheduleGeneric(sc *Scratch, reqs []Request, avail molecule.Vector) []isa.AtomID {
+func (sjf) schedule(sc *Scratch, reqs []Request, avail molecule.Vector) []isa.AtomID {
 	st := newState(sc, reqs, avail)
 	cands := st.candidates()
 	for _, si := range orderSIs(reqs, st) {
@@ -435,7 +412,7 @@ func (s hef) Schedule(reqs []Request, avail molecule.Vector) []isa.AtomID {
 	return s.schedule(NewScratch(), reqs, avail)
 }
 
-func (s hef) scheduleGeneric(sc *Scratch, reqs []Request, avail molecule.Vector) []isa.AtomID {
+func (s hef) schedule(sc *Scratch, reqs []Request, avail molecule.Vector) []isa.AtomID {
 	return run(sc, reqs, avail, func(cands []isa.Molecule, st *state) int {
 		best := -1
 		var bestNum, bestDen int64 // benefit as fraction bestNum/bestDen

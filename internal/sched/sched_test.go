@@ -512,3 +512,59 @@ func TestNormalizationMattersForCheapUpgrades(t *testing.T) {
 		}
 	}
 }
+
+// tieISA builds a deliberate benefit tie: two SIs with structurally
+// identical Molecule chains over disjoint Atom types and equal
+// expectations. Every per-candidate comparison key (additional Atoms,
+// latency improvement, expected count) is equal between the two SIs'
+// candidates, so the outcome is decided purely by tie-breaking: the
+// canonical candidate order (by SI, then slowest-first) with first-wins
+// replacement. A strategy that broke ties differently — e.g. last-wins on
+// equal benefit, or a different candidate order — loads Atom 1 first on
+// this instance.
+func tieISA() *isa.ISA {
+	is := &isa.ISA{
+		Name: "tie",
+		Atoms: []isa.AtomType{
+			{ID: 0, Name: "A1", BitstreamBytes: 60488},
+			{ID: 1, Name: "A2", BitstreamBytes: 60488},
+		},
+		SIs: []isa.SI{
+			{ID: 0, Name: "SI1", HotSpot: 0, SWLatency: 500, Molecules: []isa.Molecule{
+				{SI: 0, Atoms: molecule.Of(1, 0), Latency: 100},
+				{SI: 0, Atoms: molecule.Of(2, 0), Latency: 50},
+			}},
+			{ID: 1, Name: "SI2", HotSpot: 0, SWLatency: 500, Molecules: []isa.Molecule{
+				{SI: 1, Atoms: molecule.Of(0, 1), Latency: 100},
+				{SI: 1, Atoms: molecule.Of(0, 2), Latency: 50},
+			}},
+		},
+		HotSpots: []isa.HotSpot{{ID: 0, Name: "hot", SIs: []isa.SIID{0, 1}}},
+	}
+	if err := is.Validate(); err != nil {
+		panic(err)
+	}
+	return is
+}
+
+// TestKernelTieBreaking pins the tie-breaking counterexample: on the
+// symmetric instance every strategy, the HEF ablation included, must favor
+// SI1 (the earlier candidate in canonical order) at the first tie.
+func TestKernelTieBreaking(t *testing.T) {
+	is := tieISA()
+	reqs := reqsFor(is, 100, 100)
+	avail := molecule.New(2)
+	for _, name := range append(append([]string(nil), Names...), "HEF-unnorm") {
+		s, _ := New(name)
+		got := s.Schedule(reqs, avail)
+		if len(got) == 0 {
+			t.Errorf("%s: empty schedule on tie instance", name)
+			continue
+		}
+		// Ties must resolve to the canonically first candidate: Atom 0
+		// (SI1's type) loads before Atom 1 ever does.
+		if got[0] != 0 {
+			t.Errorf("%s: first load is Atom %d, want Atom 0 (SI1 wins ties): seq=%v", name, got[0], got)
+		}
+	}
+}

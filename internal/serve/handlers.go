@@ -34,8 +34,13 @@ func (c CollectSpec) options() sim.Options {
 }
 
 // cacheKey extends a canonical point key so that runs collecting different
-// artifacts never share a response body.
+// artifacts never share a response body. A run that collects nothing is
+// keyed by the point key itself; a suffixed key cannot equal a point key,
+// which always ends in '}'.
 func (c CollectSpec) cacheKey(pointKey string) string {
+	if c == (CollectSpec{}) {
+		return pointKey
+	}
 	return pointKey + "|h" + strconv.FormatInt(c.HistogramBucket, 10) + ",t" + strconv.FormatBool(c.Timeline)
 }
 

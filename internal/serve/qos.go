@@ -117,19 +117,30 @@ func (s *Server) tenantOf(h interface{ Get(string) string }) string {
 	return "anonymous"
 }
 
+// sanitizeTenant caps t at 32 bytes and replaces every byte outside the
+// label-safe set [A-Za-z0-9._-] with '_'. A clean name is returned as is.
 func sanitizeTenant(t string) string {
 	if len(t) > 32 {
 		t = t[:32]
 	}
+	i := 0
+	for i < len(t) && labelSafe(t[i]) {
+		i++
+	}
+	if i == len(t) {
+		return t
+	}
 	b := []byte(t)
-	for i, c := range b {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_', c == '.':
-		default:
+	for ; i < len(b); i++ {
+		if !labelSafe(b[i]) {
 			b[i] = '_'
 		}
 	}
 	return string(b)
+}
+
+func labelSafe(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '-' || c == '_' || c == '.'
 }
 
 // shedError is an admission/scheduling rejection; handlers map it to 429

@@ -378,6 +378,8 @@ func TestTenantIdentification(t *testing.T) {
 		{"none", nil, "anonymous"},
 		{"hostile label", map[string]string{"X-Tenant": `evil"} {inject`}, "evil____inject"},
 		{"x-tenant beats token", map[string]string{"X-Tenant": "bob", "Authorization": "Bearer s3cret"}, "bob"},
+		{"capped at 32 bytes", map[string]string{"X-Tenant": "abcdefghij-abcdefghij-abcdefghij-abcdefg"}, "abcdefghij-abcdefghij-abcdefghij"},
+		{"multi-byte", map[string]string{"X-Tenant": "zoë"}, "zo__"},
 	}
 	for _, tc := range cases {
 		h := http.Header{}
@@ -387,6 +389,13 @@ func TestTenantIdentification(t *testing.T) {
 		if got := s.tenantOf(h); got != tc.want {
 			t.Errorf("%s: tenant %q, want %q", tc.name, got, tc.want)
 		}
+	}
+
+	// A clean name is the common case on every request: it must not be
+	// copied.
+	h := http.Header{"X-Tenant": {"tenant-a.prod_1"}}
+	if n := testing.AllocsPerRun(100, func() { s.tenantOf(h) }); n != 0 {
+		t.Errorf("tenantOf with a clean X-Tenant: %v allocs, want 0", n)
 	}
 }
 

@@ -291,6 +291,35 @@ func TestSimulateCacheHit(t *testing.T) {
 	if s.Metrics() == "" || !strings.Contains(s.Metrics(), `rispp_simulate_cache_total{outcome="hit"} 1`) {
 		t.Errorf("metrics missing cache hit:\n%s", s.Metrics())
 	}
+
+	// Collecting artifacts keys a separate entry: the same point with
+	// histograms misses and carries them, and a plain repeat still hits
+	// the histogram-free body.
+	hreq := req
+	hreq.Collect = CollectSpec{HistogramBucket: 100000}
+	w3 := postJSON(t, h, "/v1/simulate", hreq)
+	if w3.Code != http.StatusOK {
+		t.Fatalf("histogram request: status %d", w3.Code)
+	}
+	if got := w3.Header().Get("X-Cache"); got != "miss" {
+		t.Errorf("histogram request X-Cache %q, want miss", got)
+	}
+	if resp := decodeSimulate(t, w3); len(resp.Histograms) == 0 {
+		t.Error("histogram request returned no histograms")
+	}
+	w4 := postJSON(t, h, "/v1/simulate", req)
+	if got := w4.Header().Get("X-Cache"); got != "hit" {
+		t.Errorf("plain repeat X-Cache %q, want hit", got)
+	}
+	if !bytes.Equal(w4.Body.Bytes(), w1.Body.Bytes()) {
+		t.Error("plain repeat body differs from the first plain body")
+	}
+	if resp := decodeSimulate(t, w4); len(resp.Histograms) != 0 {
+		t.Errorf("plain repeat carries %d histograms", len(resp.Histograms))
+	}
+	if s.cache.len() != 2 {
+		t.Errorf("cache holds %d entries, want 2", s.cache.len())
+	}
 }
 
 // TestGracefulDrain: Shutdown lets the in-flight simulation finish while

@@ -215,7 +215,7 @@ func readBaseline(path string) (Baseline, error) {
 
 func writeBaseline(path string, measured map[string]Entry) error {
 	base := Baseline{
-		Note:       "minimum of repeated runs; regenerate with: make bench-baseline (gate) or make bench-json (snapshot)",
+		Note:       "minimum of repeated runs; regenerate with: make bench-baseline",
 		Benchmarks: measured,
 	}
 	b, err := json.MarshalIndent(base, "", "  ")
