@@ -79,9 +79,10 @@ type Manager struct {
 
 	// Per-SI caches over the Atom Container state, invalidated by bumping
 	// gen whenever the array mutates (install, reset, restore). The
-	// simulator polls Latency and Record per burst but the array only
-	// changes per completed reconfiguration, so the cache collapses the
-	// dominant Molecule re-scan of the run loop.
+	// simulator reads Latency and reports Record once per SI per event, but
+	// the oracle's reference interpreter calls both once per SI execution,
+	// while the array only changes per completed reconfiguration; the cache
+	// collapses that Molecule re-scan to one per SI per reconfiguration.
 	gen      uint64
 	latGen   []uint64  // per SI: gen the cache entry was computed at
 	lat      []int32   // per SI: current latency

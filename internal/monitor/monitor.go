@@ -164,17 +164,6 @@ func (m *Monitor) Expected(h isa.HotSpotID, si isa.SIID) int64 {
 	return 0
 }
 
-// Forecast returns the expectation vector for all SIs of hot spot h.
-func (m *Monitor) Forecast(h isa.HotSpotID) map[isa.SIID]int64 {
-	out := make(map[isa.SIID]int64)
-	for _, si := range m.is.HotSpotSIs(h) {
-		if v := m.Expected(h, si.ID); v > 0 {
-			out[si.ID] = v
-		}
-	}
-	return out
-}
-
 // MeanAbsError reports the average absolute forecast error per sample.
 func (m *Monitor) MeanAbsError() float64 {
 	if m.Samples == 0 {

@@ -117,9 +117,14 @@ func TestForecastOmitsZeroSIs(t *testing.T) {
 	m.EnterHotSpot(isa.HotSpotEE)
 	m.Record(isa.SIMC, 42)
 	m.LeaveHotSpot()
-	f := m.Forecast(isa.HotSpotEE)
-	if len(f) != 1 || f[isa.SIMC] != 42 {
-		t.Fatalf("Forecast = %v", f)
+	for _, si := range is.HotSpotSIs(isa.HotSpotEE) {
+		want := int64(0)
+		if si.ID == isa.SIMC {
+			want = 42
+		}
+		if got := m.Expected(isa.HotSpotEE, si.ID); got != want {
+			t.Fatalf("Expected(EE, %s) = %d, want %d", si.Name, got, want)
+		}
 	}
 }
 

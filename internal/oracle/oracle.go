@@ -38,6 +38,15 @@ import (
 // sim.Runtime — deliberately re-declared here so the oracle depends only on
 // the documented contract, not on the simulator package; any sim.Runtime
 // (core.Manager, molen.Runtime, the software model) satisfies it as is.
+//
+// The contract, as sim.Runtime states it: latencies change only in
+// EnterHotSpot and Advance (and in Reset and RestoreState, before a run);
+// NextEvent is idempotent between Advances; and Record(si, n, now) reports
+// the n executions of si since its previous report, the last one ending at
+// now, with now never decreasing within a phase. Run asks for a latency
+// and reports a Record per execution, so the simulator, which calls both
+// once per event, is checked against the finest-grained use of the
+// contract.
 type Runtime interface {
 	Name() string
 	Reset()

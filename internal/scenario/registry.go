@@ -2,8 +2,10 @@ package scenario
 
 // The shipped scenario registry. Every *.json file under data/ is a
 // single Spec document, embedded into the binary, decoded and validated
-// at init — a malformed shipped scenario fails the build's tests, not a
-// user's request.
+// on first use (Find or Names), so binaries that never look a scenario up
+// do not pay for building them. A malformed shipped scenario panics there
+// and is never served; the digest-pinning test loads the registry, so it
+// fails the build's tests, not a user's request.
 //
 // Ownership rule: the registry is append-only. A published name is a
 // cache key (explore.Point.Scenario participates in the content-addressed
@@ -17,12 +19,13 @@ import (
 	"embed"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 //go:embed data/*.json
 var dataFS embed.FS
 
-var registry = loadRegistry()
+var registry = sync.OnceValue(loadRegistry)
 
 func loadRegistry() map[string]*Scenario {
 	entries, err := dataFS.ReadDir("data")
@@ -50,14 +53,15 @@ func loadRegistry() map[string]*Scenario {
 
 // Find returns the shipped scenario with the given name.
 func Find(name string) (*Scenario, bool) {
-	sc, ok := registry[name]
+	sc, ok := registry()[name]
 	return sc, ok
 }
 
 // Names returns the shipped scenario names, sorted.
 func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
+	reg := registry()
+	out := make([]string, 0, len(reg))
+	for n := range reg {
 		out = append(out, n)
 	}
 	sort.Strings(out)

@@ -8,6 +8,13 @@
 // (Atom-load completions), so simulating billions of cycles costs time
 // proportional to the number of bursts and reconfigurations, not cycles.
 //
+// A phase runs as segments between runtime events. Latencies change only
+// when an Atom load completes (Advance) or a hot spot is entered
+// (EnterHotSpot), so each segment drains the due events, reads NextEvent
+// and every hot-spot SI's Latency once, walks the bursts up to the next
+// event with table lookups only, and then reports one Record per SI that
+// ran. The runtime is called once per event, not once per burst.
+//
 // The hot path is allocation-free in the steady state: workload.Compile
 // resolves the per-SI latencies the inner loop needs into dense tables once
 // per trace, per-SI accounting lives in dense slices indexed by SIID, and
@@ -26,9 +33,22 @@ import (
 )
 
 // Runtime is the run-time system under simulation. The simulator calls
-// EnterHotSpot/LeaveHotSpot around every phase, asks Latency before bursts,
-// reports executions via Record, and processes latency-changing events
-// (Atom-load completions) via NextEvent/Advance.
+// EnterHotSpot/LeaveHotSpot around every phase, asks Latency between
+// events, reports executions via Record, and processes latency-changing
+// events (Atom-load completions) via NextEvent/Advance.
+//
+// The simulator calls each method only as often as the contract below
+// requires, so an implementation must keep to it:
+//
+//   - Latencies change only in EnterHotSpot and Advance (and in Reset and
+//     RestoreState, before a run): the simulator reads them once per event
+//     and reuses them until the next one.
+//   - NextEvent is idempotent between Advances: calling it again without an
+//     Advance in between returns the same answer. Its first call after
+//     EnterHotSpot comes after the phase's setup cycles.
+//   - Record(si, n, now) reports the n executions of si since its previous
+//     report, the last of them ending at now. Within a phase now never
+//     decreases from one Record to the next.
 type Runtime interface {
 	Name() string
 	// Reset returns the runtime to its power-on state.
@@ -43,7 +63,8 @@ type Runtime interface {
 	// It must be a pure query: the simulator polls it at different rates
 	// depending on which measurement artifacts are collected.
 	Latency(si isa.SIID) int
-	// Record reports n back-to-back executions of si ending at time now.
+	// Record reports n executions of si since its previous report, the
+	// last one ending at time now.
 	Record(si isa.SIID, n int64, now int64)
 	// NextEvent returns the time of the next latency-changing event, or
 	// ok = false when none is pending.
@@ -109,13 +130,18 @@ type Result struct {
 	Timeline  *stats.Timeline
 
 	// Dense per-SI accounting, indexed by SIID (length: number of SIs of
-	// the ISA the trace was compiled against). The three slices are views
-	// into one shared backing array (dense), so a fresh Result costs one
+	// the ISA the trace was compiled against). The slices are views into
+	// one shared backing array (dense), so a fresh Result costs one
 	// allocation for all counters.
 	dense   []int64
 	execs   []int64
 	swExecs []int64
 	hwExecs []int64
+	// Per-segment run scratch (see runner.runPhase): each SI's latency,
+	// executions not yet reported, and the end of its last execution.
+	segLat []int64
+	segN   []int64
+	segEnd []int64
 	// lastLat is per-run journal scratch (latency change detection).
 	lastLat []int
 }
@@ -193,16 +219,19 @@ func (r *Result) reset(runtime string, nSIs, nPhases int, opts Options) {
 	r.Runtime = runtime
 	r.TotalCycles = 0
 	r.StallCycles = 0
-	if cap(r.dense) < 3*nSIs {
-		r.dense = make([]int64, 3*nSIs)
+	if cap(r.dense) < 6*nSIs {
+		r.dense = make([]int64, 6*nSIs)
 	}
-	r.dense = r.dense[:3*nSIs]
+	r.dense = r.dense[:6*nSIs]
 	for i := range r.dense {
 		r.dense[i] = 0
 	}
 	r.execs = r.dense[0*nSIs : 1*nSIs : 1*nSIs]
 	r.swExecs = r.dense[1*nSIs : 2*nSIs : 2*nSIs]
 	r.hwExecs = r.dense[2*nSIs : 3*nSIs : 3*nSIs]
+	r.segLat = r.dense[3*nSIs : 4*nSIs : 4*nSIs]
+	r.segN = r.dense[4*nSIs : 5*nSIs : 5*nSIs]
+	r.segEnd = r.dense[5*nSIs : 6*nSIs : 6*nSIs]
 	if cap(r.lastLat) < nSIs {
 		r.lastLat = make([]int, nSIs)
 	} else {
@@ -344,15 +373,16 @@ func (r *runner) recordLats(at int64, spot []isa.SIID) {
 	}
 }
 
-// drain processes all pending events up to and including time limit.
-func (r *runner) drain(limit int64, spot []isa.SIID) {
+// drain processes all pending events up to and including time limit and
+// returns the next event still pending after them, if any.
+func (r *runner) drain(limit int64, spot []isa.SIID) (next int64, pending bool) {
 	for {
 		if r.canceled() {
-			return
+			return 0, false
 		}
 		at, ok := r.rt.NextEvent()
 		if !ok || at > limit {
-			return
+			return at, ok
 		}
 		r.rt.Advance(at)
 		if r.js != nil {
@@ -372,7 +402,12 @@ func (r *runner) run(ct *workload.Compiled, from int) error {
 	return nil
 }
 
-// runPhase executes one hot-spot phase of the compiled trace.
+// runPhase executes one hot-spot phase of the compiled trace as segments
+// between runtime events. A segment reads every hot-spot SI's latency once
+// and runs the bursts at those latencies until the next event is due; the
+// burst that straddles the event is split there, since executions that
+// start before the event keep the current latency. The segment's
+// executions then reach the runtime through flush.
 func (r *runner) runPhase(ct *workload.Compiled, pi int) error {
 	rt, res := r.rt, r.res
 	if r.canceled() {
@@ -386,23 +421,32 @@ func (r *runner) runPhase(ct *workload.Compiled, pi int) error {
 	}
 	r.recordLats(r.now, p.Spot)
 	r.now += p.Setup
-	r.drain(r.now, p.Spot)
 
-	for bi := range p.Bursts {
-		b := &p.Bursts[bi]
-		swLat, fastest := ct.SWLatency[b.SI], ct.FastestLatency[b.SI]
-		remaining, gap := int64(b.Count), int64(b.Gap)
-		for remaining > 0 {
-			r.drain(r.now, p.Spot)
-			if r.cancelErr != nil {
-				return r.cancelErr
+	lat, segN, segEnd := res.segLat, res.segN, res.segEnd
+	bi, done := 0, int64(0) // the current burst and its executions already run
+	for {
+		next, pending := r.drain(r.now, p.Spot)
+		if r.cancelErr != nil {
+			return r.cancelErr
+		}
+		if bi == len(p.Bursts) {
+			break
+		}
+		for _, si := range p.Spot {
+			lat[si] = int64(rt.Latency(si))
+		}
+		for bi < len(p.Bursts) {
+			b := &p.Bursts[bi]
+			n := int64(b.Count) - done
+			if n == 0 {
+				bi++ // a zero-count burst runs nothing and touches nothing
+				continue
 			}
-			lat := rt.Latency(b.SI)
-			per := int64(lat) + gap
-			n := remaining
-			if next, ok := rt.NextEvent(); ok && next > r.now {
-				// Executions whose start time is before the event keep
-				// the current latency.
+			l := lat[b.SI]
+			per := l + int64(b.Gap)
+			if pending {
+				// drain left next > r.now. Executions whose start time is
+				// before the event keep the current latency.
 				if k := (next - r.now + per - 1) / per; k < n {
 					n = k
 				}
@@ -411,23 +455,26 @@ func (r *runner) runPhase(ct *workload.Compiled, pi int) error {
 				res.Histogram.Add(int(b.SI), r.now, n, per)
 			}
 			res.execs[b.SI] += n
-			if lat >= swLat {
+			if l >= int64(ct.SWLatency[b.SI]) {
 				res.swExecs[b.SI] += n
 			} else {
 				res.hwExecs[b.SI] += n
 			}
-			res.StallCycles += n * int64(lat-fastest)
+			res.StallCycles += n * (l - int64(ct.FastestLatency[b.SI]))
 			r.now += n * per
-			remaining -= n
-			rt.Record(b.SI, n, r.now)
+			segN[b.SI] += n
+			segEnd[b.SI] = r.now
 			if r.maxCycles > 0 && r.now > r.maxCycles {
 				return fmt.Errorf("sim: exceeded MaxCycles=%d at phase %d", r.maxCycles, pi)
 			}
+			if done += n; done == int64(b.Count) {
+				bi, done = bi+1, 0
+			}
+			if pending && r.now >= next {
+				break
+			}
 		}
-	}
-	r.drain(r.now, p.Spot)
-	if r.cancelErr != nil {
-		return r.cancelErr
+		r.flush(p.Spot)
 	}
 	rt.LeaveHotSpot(r.now)
 	if r.js != nil {
@@ -435,6 +482,30 @@ func (r *runner) runPhase(ct *workload.Compiled, pi int) error {
 	}
 	res.Phases = append(res.Phases, PhaseStat{HotSpot: p.HotSpot, Start: phaseStart, End: r.now})
 	return nil
+}
+
+// flush reports a segment's executions: one Record per SI that ran, in
+// ascending order of its last execution's end. Record's effects are
+// commutative counts plus recency stamps where the latest write wins, so
+// this order leaves every stamp where one Record per burst would have left
+// it: a slot shared by several SIs ends up stamped by the one that ran
+// last.
+func (r *runner) flush(spot []isa.SIID) {
+	segN, segEnd := r.res.segN, r.res.segEnd
+	for {
+		first := -1
+		for i, si := range spot {
+			if segN[si] > 0 && (first < 0 || segEnd[si] < segEnd[spot[first]]) {
+				first = i
+			}
+		}
+		if first < 0 {
+			return
+		}
+		si := spot[first]
+		r.rt.Record(si, segN[si], segEnd[si])
+		segN[si] = 0
+	}
 }
 
 // Software returns the trivial runtime with no reconfigurable hardware at

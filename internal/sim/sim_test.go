@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -68,10 +69,17 @@ type eventRuntime struct {
 	fast    int
 
 	recorded int64
+	records  []recordCall
+}
+
+// recordCall is one Record the scripted runtime received.
+type recordCall struct {
+	si     isa.SIID
+	n, now int64
 }
 
 func (e *eventRuntime) Name() string                      { return "scripted" }
-func (e *eventRuntime) Reset()                            { e.fired = false; e.recorded = 0 }
+func (e *eventRuntime) Reset()                            { e.fired = false; e.recorded = 0; e.records = e.records[:0] }
 func (e *eventRuntime) EnterHotSpot(isa.HotSpotID, int64) {}
 func (e *eventRuntime) LeaveHotSpot(int64)                {}
 func (e *eventRuntime) Latency(isa.SIID) int {
@@ -80,7 +88,10 @@ func (e *eventRuntime) Latency(isa.SIID) int {
 	}
 	return e.slow
 }
-func (e *eventRuntime) Record(_ isa.SIID, n int64, _ int64) { e.recorded += n }
+func (e *eventRuntime) Record(si isa.SIID, n int64, now int64) {
+	e.recorded += n
+	e.records = append(e.records, recordCall{si, n, now})
+}
 func (e *eventRuntime) NextEvent() (int64, bool) {
 	if e.fired {
 		return 0, false
@@ -115,6 +126,51 @@ func TestEventSplitsBurst(t *testing.T) {
 	}
 	if rt.recorded != 10 {
 		t.Fatalf("recorded %d executions", rt.recorded)
+	}
+}
+
+func TestEventInsideLastExecution(t *testing.T) {
+	// The SAD burst's last execution starts at 200, before the upgrade at
+	// 250, and ends at 300, after it: the whole burst runs slow and the
+	// SATD burst after it runs fast.
+	is := isa.H264()
+	tr := workload.NewBuilder("b").
+		Phase(isa.HotSpotME, 0).
+		Burst(isa.SISAD, 3, 5).
+		Burst(isa.SISATD, 4, 5).
+		Build()
+	rt := &eventRuntime{is: is, eventAt: 250, slow: 95, fast: 10}
+	res, err := Run(tr, is, rt, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(3*100 + 4*15); res.TotalCycles != want {
+		t.Fatalf("TotalCycles = %d, want %d", res.TotalCycles, want)
+	}
+	want := []recordCall{{isa.SISAD, 3, 300}, {isa.SISATD, 4, 360}}
+	if !slices.Equal(rt.records, want) {
+		t.Fatalf("records = %v, want %v", rt.records, want)
+	}
+}
+
+func TestZeroCountBurstMovesNoStamp(t *testing.T) {
+	// No event interrupts the phase, so all three bursts share one
+	// segment. The empty SATD burst at its end must leave SATD's report at
+	// the end of SATD's last execution, ordered before SAD's.
+	is := isa.H264()
+	tr := workload.NewBuilder("b").
+		Phase(isa.HotSpotME, 0).
+		Burst(isa.SISATD, 2, 5).
+		Burst(isa.SISAD, 3, 5).
+		Burst(isa.SISATD, 0, 5).
+		Build()
+	rt := &eventRuntime{is: is, eventAt: 1 << 60, slow: 95, fast: 10}
+	if _, err := Run(tr, is, rt, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	want := []recordCall{{isa.SISATD, 2, 200}, {isa.SISAD, 3, 500}}
+	if !slices.Equal(rt.records, want) {
+		t.Fatalf("records = %v, want %v", rt.records, want)
 	}
 }
 
