@@ -64,7 +64,7 @@ PROF_PKG ?= ./internal/sim
 PROF_COUNT ?= 5
 PROF_OUT = $(CURDIR)/.profdiff/$(PROF_BENCH)
 prof-diff:
-	@mkdir -p .profdiff
+	@mkdir -p $(dir $(PROF_OUT))
 	$(if $(PROF_RESET),rm -f $(PROF_OUT).*)
 	@if [ -f $(PROF_OUT).before.cpu.pprof ]; then side=after; else side=before; fi; \
 	$(GO) test -run '^$$' -bench '^$(PROF_BENCH)$$' -benchtime 1000x -count $(PROF_COUNT) -o $(PROF_OUT).$$side.test \

@@ -3,6 +3,7 @@ package oracle_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -13,12 +14,20 @@ import (
 	"rispp/internal/workload"
 )
 
+// simRuntime returns a constructor of the simulator's runtime for the
+// configuration the oracle interprets: the rispp.NewRuntime construction
+// with design-time forecast seeding, mirroring oracle.NewSystem.
+func simRuntime(name string, is *isa.ISA, acs int, tr *workload.Trace) func() (sim.Runtime, error) {
+	return func() (sim.Runtime, error) {
+		return rispp.NewRuntime(rispp.Config{ISA: is, Workload: tr, Scheduler: name, NumACs: acs, SeedForecasts: true})
+	}
+}
+
 // runSim runs the optimized simulator on the same configuration the oracle
-// interprets: the rispp.NewRuntime construction with design-time forecast
-// seeding, mirroring oracle.NewSystem.
+// interprets (see simRuntime).
 func runSim(t *testing.T, name string, is *isa.ISA, acs int, tr *workload.Trace, opts sim.Options) *sim.Result {
 	t.Helper()
-	rt, err := rispp.NewRuntime(rispp.Config{ISA: is, Workload: tr, Scheduler: name, NumACs: acs, SeedForecasts: true})
+	rt, err := simRuntime(name, is, acs, tr)()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,6 +36,55 @@ func runSim(t *testing.T, name string, is *isa.ISA, acs int, tr *workload.Trace,
 		t.Fatal(err)
 	}
 	return res
+}
+
+// allArtifacts collects every artifact the oracle can compare: histograms
+// with the given bucket width, the latency timeline and the journal.
+func allArtifacts(bucket int64) oracle.Options {
+	return oracle.Options{HistogramBucket: bucket, Timeline: true, Journal: true}
+}
+
+// crossCheck compares the simulator with want, the oracle's account of the
+// same configuration collected with allArtifacts(bucket), in two runs on
+// fresh runtimes from newRT: one collecting the histogram, the timeline and
+// the journal, and one with the journal only — the artifact-free options a
+// sweep runs with, under which the simulator steps over whole blocks of
+// bursts (a histogram needs every burst's start, so the first run walks
+// them all). Both must match field-exact, journal bytes included, and
+// satisfy the paper invariants; the first divergence is returned.
+func crossCheck(tr *workload.Trace, is *isa.ISA, want *oracle.Result, bucket int64, newRT func() (sim.Runtime, error)) error {
+	bare := *want
+	bare.Histogram, bare.Timeline = nil, nil
+	runs := []struct {
+		name string
+		want *oracle.Result
+		opts sim.Options
+	}{
+		{"with artifacts", want, sim.Options{HistogramBucket: bucket, Timeline: true}},
+		{"artifact-free", &bare, sim.Options{}},
+	}
+	for _, run := range runs {
+		rt, err := newRT()
+		if err != nil {
+			return err
+		}
+		var journal bytes.Buffer
+		run.opts.Journal = &journal
+		got, err := sim.Run(tr, is, rt, run.opts)
+		if err == nil {
+			err = oracle.Diff(run.want, got)
+		}
+		if err == nil {
+			err = oracle.DiffJournal(want.Journal, &journal)
+		}
+		if err == nil {
+			err = oracle.Check(tr, is, got)
+		}
+		if err != nil {
+			return fmt.Errorf("%s run: %w", run.name, err)
+		}
+	}
+	return nil
 }
 
 // diverges reports whether the oracle and the simulator disagree (or either
@@ -42,19 +100,11 @@ func diverges(is *isa.ISA, tr *workload.Trace, sys string, acs int) (failed bool
 	if err != nil {
 		return true
 	}
-	want, err := oracle.Run(tr, is, ort, oracle.Options{HistogramBucket: 50_000, Timeline: true})
+	want, err := oracle.Run(tr, is, ort, allArtifacts(50_000))
 	if err != nil {
 		return true
 	}
-	rt, err := rispp.NewRuntime(rispp.Config{ISA: is, Workload: tr, Scheduler: sys, NumACs: acs, SeedForecasts: true})
-	if err != nil {
-		return true
-	}
-	got, err := sim.Run(tr, is, rt, sim.Options{HistogramBucket: 50_000, Timeline: true})
-	if err != nil {
-		return true
-	}
-	return oracle.Diff(want, got) != nil || oracle.Check(tr, is, got) != nil
+	return crossCheck(tr, is, want, 50_000, simRuntime(sys, is, acs, tr)) != nil
 }
 
 // reportShrunk minimizes a diverging trace and logs the reproducer, so a CI
@@ -71,8 +121,11 @@ func reportShrunk(t *testing.T, is *isa.ISA, tr *workload.Trace, sys string, acs
 // six run-time systems — 1,500 triples — comparing the naive per-execution
 // interpreter against the compiled hot path field by field (cycles, stalls,
 // per-SI SW/HW splits, phases, latency timelines, histograms and the JSONL
-// journal), and validating every simulator result against the paper
-// invariants. A divergence fails the test with a shrunk minimal reproducer.
+// journal; see crossCheck for the two simulator runs per triple), and
+// validating every simulator result against the paper invariants. A
+// divergence fails the test with a shrunk minimal reproducer. Its phases
+// hold at most five bursts, so no block step runs here; the H.264, scenario
+// and rotation corpora reach it.
 func TestCrossCheckGeneratedCorpus(t *testing.T) {
 	failures := 0
 	for seed := int64(0); seed < 250; seed++ {
@@ -85,21 +138,11 @@ func TestCrossCheckGeneratedCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := oracle.Run(tr, is, ort, oracle.Options{HistogramBucket: 50_000, Timeline: true, Journal: true})
+			want, err := oracle.Run(tr, is, ort, allArtifacts(50_000))
 			if err != nil {
 				t.Fatal(err)
 			}
-			var journal bytes.Buffer
-			got := runSim(t, sys, is, acs, tr, sim.Options{HistogramBucket: 50_000, Timeline: true, Journal: &journal})
-
-			err = oracle.Diff(want, got)
-			if err == nil {
-				err = oracle.DiffJournal(want.Journal, &journal)
-			}
-			if err == nil {
-				err = oracle.Check(tr, is, got)
-			}
-			if err != nil {
+			if err := crossCheck(tr, is, want, 50_000, simRuntime(sys, is, acs, tr)); err != nil {
 				t.Errorf("seed %d, system %s, %d ACs: %v", seed, sys, acs, err)
 				reportShrunk(t, is, tr, sys, acs)
 				if failures++; failures >= 5 {
@@ -112,8 +155,9 @@ func TestCrossCheckGeneratedCorpus(t *testing.T) {
 
 // TestCrossCheckH264 cross-checks the oracle against the simulator on the
 // paper's calibrated H.264 encoder workload for all six run-time systems,
-// with every measurement artifact enabled. Short mode runs a 4-frame
-// excerpt; the full 140-frame trace (7.4M SI executions) runs otherwise.
+// with every measurement artifact enabled and artifact-free (crossCheck).
+// Short mode runs a 4-frame excerpt; the full 140-frame trace (7.4M SI
+// executions) runs otherwise.
 func TestCrossCheckH264(t *testing.T) {
 	cfg := workload.H264Config{}
 	if testing.Short() {
@@ -126,19 +170,11 @@ func TestCrossCheckH264(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := oracle.Run(tr, is, ort, oracle.Options{HistogramBucket: 100_000, Timeline: true, Journal: true})
+		want, err := oracle.Run(tr, is, ort, allArtifacts(100_000))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var journal bytes.Buffer
-		got := runSim(t, sys, is, 10, tr, sim.Options{HistogramBucket: 100_000, Timeline: true, Journal: &journal})
-		if err := oracle.Diff(want, got); err != nil {
-			t.Errorf("system %s: %v", sys, err)
-		}
-		if err := oracle.DiffJournal(want.Journal, &journal); err != nil {
-			t.Errorf("system %s: %v", sys, err)
-		}
-		if err := oracle.Check(tr, is, got); err != nil {
+		if err := crossCheck(tr, is, want, 100_000, simRuntime(sys, is, 10, tr)); err != nil {
 			t.Errorf("system %s: %v", sys, err)
 		}
 	}

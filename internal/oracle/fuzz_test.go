@@ -4,15 +4,14 @@ import (
 	"math/rand"
 	"testing"
 
-	"rispp"
 	"rispp/internal/oracle"
-	"rispp/internal/sim"
 )
 
 // FuzzRunCompiled fuzzes the compiled hot path against the oracle: every
 // input decodes to a seeded (hardware, workload, system, ACs) configuration,
-// both engines run it, and any divergence from the reference interpreter or
-// any violated paper invariant is a finding. The generated corpus already
+// both engines run it (the simulator with artifacts and artifact-free; see
+// crossCheck), and any divergence from the reference interpreter or any
+// violated paper invariant is a finding. The generated corpus already
 // found one crash this way (a stale Atom load completing into a fully
 // protected container array; see internal/core/stale_load_test.go).
 func FuzzRunCompiled(f *testing.F) {
@@ -33,24 +32,13 @@ func FuzzRunCompiled(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := oracle.Run(tr, is, ort, oracle.Options{HistogramBucket: 50_000, Timeline: true})
+		want, err := oracle.Run(tr, is, ort, allArtifacts(50_000))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := rispp.NewRuntime(rispp.Config{ISA: is, Workload: tr, Scheduler: sys, NumACs: numACs, SeedForecasts: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sim.Run(tr, is, rt, sim.Options{HistogramBucket: 50_000, Timeline: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := oracle.Diff(want, got); err != nil {
+		if err := crossCheck(tr, is, want, 50_000, simRuntime(sys, is, numACs, tr)); err != nil {
 			t.Errorf("seed %d, system %s, %d ACs: %v", seed, sys, numACs, err)
 			reportShrunk(t, is, tr, sys, numACs)
-		}
-		if err := oracle.Check(tr, is, got); err != nil {
-			t.Errorf("seed %d, system %s, %d ACs: %v", seed, sys, numACs, err)
 		}
 	})
 }

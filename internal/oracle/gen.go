@@ -112,6 +112,49 @@ func GenWorkload(r *rand.Rand, is *isa.ISA) *workload.Trace {
 	return tr
 }
 
+// GenRotation derives a trace of repeated hot-spot rotations valid for the
+// ISA — the shape the run-time system is built for, like the H.264
+// encoder's ME → EE → LF — where GenWorkload's short random phases seldom
+// give the monitor a rotation to predict. One order of every hot spot
+// repeats for 2..5 rounds; each hot spot's phase holds 1..3 full blocks of
+// workload.BlockLen bursts plus a shorter tail, in runs of 1..48 bursts of
+// one SI (like kernel loops), from a per-hot-spot template whose burst
+// counts jitter by ±2 from round to round (zero-count bursts stay
+// reachable). Phases that long let Atom loads complete both
+// inside and between blocks, and the predictable order lets the
+// prefetching Manager load the next hot spot's Atoms. GenWorkload's draws
+// are untouched, so its seeded corpus keeps its inputs.
+func GenRotation(r *rand.Rand, is *isa.ISA) *workload.Trace {
+	order := r.Perm(len(is.HotSpots))
+	templates := make([]workload.Phase, len(order))
+	for i, h := range order {
+		hs := &is.HotSpots[h]
+		p := &templates[i]
+		p.HotSpot = hs.ID
+		p.Setup = int64(r.Intn(20_000))
+		p.Bursts = make([]workload.Burst, workload.BlockLen*(1+r.Intn(3))+r.Intn(workload.BlockLen))
+		for j := 0; j < len(p.Bursts); {
+			si := hs.SIs[r.Intn(len(hs.SIs))]
+			for run := 1 + r.Intn(48); run > 0 && j < len(p.Bursts); run, j = run-1, j+1 {
+				p.Bursts[j] = workload.Burst{SI: si, Count: r.Intn(40), Gap: r.Intn(12)}
+			}
+		}
+	}
+	tr := &workload.Trace{Name: "rotation"}
+	for round := 2 + r.Intn(4); round > 0; round-- {
+		for _, tp := range templates {
+			p := tp
+			p.Bursts = make([]workload.Burst, len(tp.Bursts))
+			for j, b := range tp.Bursts {
+				b.Count = max(0, b.Count+r.Intn(5)-2)
+				p.Bursts[j] = b
+			}
+			tr.Phases = append(tr.Phases, p)
+		}
+	}
+	return tr
+}
+
 // GenNumACs draws an Atom-Container budget, including the degenerate 0-AC
 // fabric on which every system must degrade to pure software.
 func GenNumACs(r *rand.Rand) int { return r.Intn(13) }

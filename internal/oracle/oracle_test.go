@@ -29,6 +29,18 @@ func TestGeneratorsProduceValidInputs(t *testing.T) {
 		if acs := oracle.GenNumACs(r); acs < 0 || acs > 12 {
 			t.Fatalf("seed %d: NumACs %d outside [0, 12]", seed, acs)
 		}
+		rot := oracle.GenRotation(r, is)
+		if err := rot.Validate(is); err != nil {
+			t.Fatalf("seed %d: invalid rotation: %v", seed, err)
+		}
+		if n := len(rot.Phases); n%len(is.HotSpots) != 0 || n < 2*len(is.HotSpots) {
+			t.Fatalf("seed %d: %d rotation phases for %d hot spots, want whole rounds, at least 2", seed, n, len(is.HotSpots))
+		}
+		for i, p := range rot.Phases {
+			if len(p.Bursts) < workload.BlockLen {
+				t.Fatalf("seed %d: rotation phase %d has %d bursts, fewer than a block", seed, i, len(p.Bursts))
+			}
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package oracle_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -18,8 +17,8 @@ import (
 
 // crossCheckManager runs one RISPP configuration through the reference
 // interpreter and the simulator on twin Managers built from cfg, with every
-// measurement artifact enabled, and returns the simulator's Manager with
-// the first divergence, if any.
+// measurement artifact enabled and artifact-free (crossCheck), and returns
+// the Manager of the last simulator run with the first divergence, if any.
 func crossCheckManager(is *isa.ISA, tr *workload.Trace, cfg core.Config) (m *core.Manager, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -31,23 +30,15 @@ func crossCheckManager(is *isa.ISA, tr *workload.Trace, cfg core.Config) (m *cor
 		m.SeedFromTrace(tr)
 		return m
 	}
-	want, err := oracle.Run(tr, is, twin(), oracle.Options{HistogramBucket: 50_000, Timeline: true, Journal: true})
+	want, err := oracle.Run(tr, is, twin(), allArtifacts(50_000))
 	if err != nil {
 		return nil, err
 	}
-	m = twin()
-	var journal bytes.Buffer
-	got, err := sim.Run(tr, is, m, sim.Options{HistogramBucket: 50_000, Timeline: true, Journal: &journal})
-	if err != nil {
-		return m, err
-	}
-	if err := oracle.Diff(want, got); err != nil {
-		return m, err
-	}
-	if err := oracle.DiffJournal(want.Journal, &journal); err != nil {
-		return m, err
-	}
-	return m, oracle.Check(tr, is, got)
+	err = crossCheck(tr, is, want, 50_000, func() (sim.Runtime, error) {
+		m = twin()
+		return m, nil
+	})
+	return m, err
 }
 
 // TestCrossCheckPrefetchEviction extends the generated cross-check past the
@@ -57,8 +48,8 @@ func crossCheckManager(is *isa.ISA, tr *workload.Trace, cfg core.Config) (m *cor
 // stamps. 150 generated (hardware, workload, AC-count) configurations run
 // on the four RISPP schedulers × {LRU, FIFO, seeded random} eviction ×
 // prefetch off/on — 3,600 configurations — on twin Managers, compared field
-// by field with every artifact and the journal bytes. A divergence fails
-// with a shrunk minimal reproducer.
+// by field with every artifact and the journal bytes, and artifact-free. A
+// divergence fails with a shrunk minimal reproducer.
 func TestCrossCheckPrefetchEviction(t *testing.T) {
 	policies := []reconfig.EvictionPolicy{reconfig.EvictLRU, reconfig.EvictFIFO, reconfig.EvictRandom}
 	failures, prefetched, evicted := 0, 0, 0

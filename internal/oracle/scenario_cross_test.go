@@ -1,13 +1,11 @@
 package oracle_test
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
 	"rispp/internal/oracle"
 	"rispp/internal/scenario"
-	"rispp/internal/sim"
 	"rispp/internal/workload"
 )
 
@@ -16,8 +14,9 @@ import (
 // content-driven encodes), each expanded and run through all six run-time
 // systems — 540 triples — comparing the reference interpreter against the
 // compiled simulator field by field: cycles, stalls, per-SI SW/HW splits,
-// phases, latency timelines, histograms and the byte-exact JSONL journal.
-// Short mode runs a 15-spec excerpt (90 triples).
+// phases, latency timelines, histograms and the byte-exact JSONL journal,
+// with artifacts and artifact-free (crossCheck). Short mode runs a 15-spec
+// excerpt (90 triples).
 func TestCrossCheckScenarioCorpus(t *testing.T) {
 	nSpecs := 90
 	if testing.Short() {
@@ -43,21 +42,11 @@ func TestCrossCheckScenarioCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := oracle.Run(tr, is, ort, oracle.Options{HistogramBucket: 50_000, Timeline: true, Journal: true})
+			want, err := oracle.Run(tr, is, ort, allArtifacts(50_000))
 			if err != nil {
 				t.Fatal(err)
 			}
-			var journal bytes.Buffer
-			got := runSim(t, sys, is, acs, tr, sim.Options{HistogramBucket: 50_000, Timeline: true, Journal: &journal})
-
-			err = oracle.Diff(want, got)
-			if err == nil {
-				err = oracle.DiffJournal(want.Journal, &journal)
-			}
-			if err == nil {
-				err = oracle.Check(tr, is, got)
-			}
-			if err != nil {
+			if err := crossCheck(tr, is, want, 50_000, simRuntime(sys, is, acs, tr)); err != nil {
 				t.Errorf("seed %d (%s, kind %s), system %s, %d ACs: %v",
 					seed, spec.Name, spec.Kind, sys, acs, err)
 				reportShrunk(t, is, tr, sys, acs)
@@ -72,7 +61,8 @@ func TestCrossCheckScenarioCorpus(t *testing.T) {
 // TestCrossCheckNamedScenarios cross-checks every shipped library scenario
 // end to end: the published expansions the serving and exploration layers
 // hand out must match the reference interpreter field-exactly, with every
-// measurement artifact enabled, on each run-time system.
+// measurement artifact enabled and artifact-free (crossCheck), on each
+// run-time system.
 func TestCrossCheckNamedScenarios(t *testing.T) {
 	frames := 5
 	if testing.Short() {
@@ -94,21 +84,11 @@ func TestCrossCheckNamedScenarios(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := oracle.Run(tr, is, ort, oracle.Options{HistogramBucket: 50_000, Timeline: true, Journal: true})
+				want, err := oracle.Run(tr, is, ort, allArtifacts(50_000))
 				if err != nil {
 					t.Fatal(err)
 				}
-				var journal bytes.Buffer
-				got := runSim(t, sys, is, 8, tr, sim.Options{HistogramBucket: 50_000, Timeline: true, Journal: &journal})
-
-				err = oracle.Diff(want, got)
-				if err == nil {
-					err = oracle.DiffJournal(want.Journal, &journal)
-				}
-				if err == nil {
-					err = oracle.Check(tr, is, got)
-				}
-				if err != nil {
+				if err := crossCheck(tr, is, want, 50_000, simRuntime(sys, is, 8, tr)); err != nil {
 					t.Errorf("%s seed %d, system %s: %v", name, seed, sys, err)
 					reportShrunk(t, is, tr, sys, 8)
 				}

@@ -89,11 +89,11 @@ func BenchmarkRunJournal(b *testing.B) {
 // BenchmarkRunOneShot measures the convenience API (compile + allocate per
 // call) for comparison with the steady-state path. Its allocations are the
 // one-shot contract itself, not leakage from the hot path: Run hands a
-// fresh caller-owned *Result back (so it cannot come from a pool — 4
-// allocations: the struct, the fused dense counter backing, journal
+// fresh caller-owned *Result back (so it cannot come from a pool — 3
+// allocations: the struct, the fused dense backing of counters and
 // scratch, phase stats) and compiles the trace per call as documented
-// (the rest: the phase list, the per-SI latency tables, per-hot-spot SI
-// lists, the spot memo).
+// (the rest: the compiled trace, its phase list, the per-SI latency
+// tables, one SI list per hot spot, the block summaries).
 // Callers that care run workload.Compile once and use RunCompiled, which
 // is allocation-free in the steady state — the gap between this benchmark
 // and BenchmarkRun is exactly what that buys. benchcheck gates both the

@@ -77,7 +77,7 @@ type resultSnap struct {
 	execs   []int64
 	swExecs []int64
 	hwExecs []int64
-	lastLat []int
+	lastLat []int64
 	phases  []PhaseStat
 }
 

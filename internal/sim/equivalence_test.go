@@ -153,12 +153,22 @@ func referenceRun(tr *workload.Trace, is *isa.ISA, rt sim.Runtime, opts sim.Opti
 // TestCompiledTraceEquivalence runs the H.264 workload on every run-time
 // system and requires the optimised path to match the reference
 // implementation exactly: cycle counts, per-SI execution maps, phase
-// boundaries, histogram buckets, timeline events and journal bytes.
+// boundaries, histogram buckets, timeline events and journal bytes. Each
+// system runs twice: with the histogram and the timeline, which walks
+// every burst, and with the journal only, under which whole blocks of
+// bursts run in one step.
 func TestCompiledTraceEquivalence(t *testing.T) {
 	is := isa.H264()
 	tr := workload.H264(workload.H264Config{Frames: 2})
 
 	systems := []string{"FSFR", "ASF", "SJF", "HEF", "Molen", "software"}
+	runs := []struct {
+		name string
+		opts sim.Options
+	}{
+		{"artifacts", sim.Options{HistogramBucket: 100_000, Timeline: true}},
+		{"artifact-free", sim.Options{}},
+	}
 	for _, system := range systems {
 		t.Run(system, func(t *testing.T) {
 			newRT := func() sim.Runtime {
@@ -179,64 +189,73 @@ func TestCompiledTraceEquivalence(t *testing.T) {
 					return m
 				}
 			}
-			opts := sim.Options{HistogramBucket: 100_000, Timeline: true}
-
-			var refJournal, gotJournal bytes.Buffer
-			refOpts := opts
-			refOpts.Journal = &refJournal
-			want, err := referenceRun(tr, is, newRT(), refOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			gotOpts := opts
-			gotOpts.Journal = &gotJournal
-			got, err := sim.Run(tr, is, newRT(), gotOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if got.Runtime != want.Runtime {
-				t.Errorf("Runtime = %q, want %q", got.Runtime, want.Runtime)
-			}
-			if got.TotalCycles != want.TotalCycles {
-				t.Errorf("TotalCycles = %d, want %d", got.TotalCycles, want.TotalCycles)
-			}
-			if got.StallCycles != want.StallCycles {
-				t.Errorf("StallCycles = %d, want %d", got.StallCycles, want.StallCycles)
-			}
-			if !reflect.DeepEqual(got.Phases, want.Phases) {
-				t.Errorf("Phases = %v, want %v", got.Phases, want.Phases)
-			}
-			if !reflect.DeepEqual(got.Executions(), want.Executions) {
-				t.Errorf("Executions = %v, want %v", got.Executions(), want.Executions)
-			}
-			if !reflect.DeepEqual(got.SWExecutions(), want.SWExecutions) {
-				t.Errorf("SWExecutions = %v, want %v", got.SWExecutions(), want.SWExecutions)
-			}
-			if !reflect.DeepEqual(got.HWExecutions(), want.HWExecutions) {
-				t.Errorf("HWExecutions = %v, want %v", got.HWExecutions(), want.HWExecutions)
-			}
-			if g, w := got.Histogram.Buckets(), want.Histogram.Buckets(); g != w {
-				t.Errorf("Histogram.Buckets() = %d, want %d", g, w)
-			}
-			for _, si := range want.Histogram.SIs() {
-				if g, w := got.Histogram.Counts(si), want.Histogram.Counts(si); !reflect.DeepEqual(g, w) {
-					t.Errorf("Histogram.Counts(%d) = %v, want %v", si, g, w)
-				}
-			}
-			if !reflect.DeepEqual(got.Timeline.Events, want.Timeline.Events) {
-				t.Errorf("Timeline events differ:\n got %v\nwant %v", got.Timeline.Events, want.Timeline.Events)
-			}
-			if !bytes.Equal(gotJournal.Bytes(), refJournal.Bytes()) {
-				t.Errorf("journal bytes differ (%d vs %d bytes)", gotJournal.Len(), refJournal.Len())
-				gl, wl := bytes.Split(gotJournal.Bytes(), []byte("\n")), bytes.Split(refJournal.Bytes(), []byte("\n"))
-				for i := 0; i < len(gl) && i < len(wl); i++ {
-					if !bytes.Equal(gl[i], wl[i]) {
-						t.Errorf("first differing journal line %d:\n got %s\nwant %s", i, gl[i], wl[i])
-						break
+			for _, run := range runs {
+				t.Run(run.name, func(t *testing.T) {
+					opts := run.opts
+					var refJournal, gotJournal bytes.Buffer
+					refOpts := opts
+					refOpts.Journal = &refJournal
+					want, err := referenceRun(tr, is, newRT(), refOpts)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
+
+					gotOpts := opts
+					gotOpts.Journal = &gotJournal
+					got, err := sim.Run(tr, is, newRT(), gotOpts)
+					if err != nil {
+						t.Fatal(err)
+					}
+
+					if got.Runtime != want.Runtime {
+						t.Errorf("Runtime = %q, want %q", got.Runtime, want.Runtime)
+					}
+					if got.TotalCycles != want.TotalCycles {
+						t.Errorf("TotalCycles = %d, want %d", got.TotalCycles, want.TotalCycles)
+					}
+					if got.StallCycles != want.StallCycles {
+						t.Errorf("StallCycles = %d, want %d", got.StallCycles, want.StallCycles)
+					}
+					if !reflect.DeepEqual(got.Phases, want.Phases) {
+						t.Errorf("Phases = %v, want %v", got.Phases, want.Phases)
+					}
+					if !reflect.DeepEqual(got.Executions(), want.Executions) {
+						t.Errorf("Executions = %v, want %v", got.Executions(), want.Executions)
+					}
+					if !reflect.DeepEqual(got.SWExecutions(), want.SWExecutions) {
+						t.Errorf("SWExecutions = %v, want %v", got.SWExecutions(), want.SWExecutions)
+					}
+					if !reflect.DeepEqual(got.HWExecutions(), want.HWExecutions) {
+						t.Errorf("HWExecutions = %v, want %v", got.HWExecutions(), want.HWExecutions)
+					}
+					if (got.Histogram == nil) != (want.Histogram == nil) || (got.Timeline == nil) != (want.Timeline == nil) {
+						t.Fatalf("artifacts collected: histogram %t, timeline %t; want %t, %t",
+							got.Histogram != nil, got.Timeline != nil, want.Histogram != nil, want.Timeline != nil)
+					}
+					if want.Histogram != nil {
+						if g, w := got.Histogram.Buckets(), want.Histogram.Buckets(); g != w {
+							t.Errorf("Histogram.Buckets() = %d, want %d", g, w)
+						}
+						for _, si := range want.Histogram.SIs() {
+							if g, w := got.Histogram.Counts(si), want.Histogram.Counts(si); !reflect.DeepEqual(g, w) {
+								t.Errorf("Histogram.Counts(%d) = %v, want %v", si, g, w)
+							}
+						}
+					}
+					if want.Timeline != nil && !reflect.DeepEqual(got.Timeline.Events, want.Timeline.Events) {
+						t.Errorf("Timeline events differ:\n got %v\nwant %v", got.Timeline.Events, want.Timeline.Events)
+					}
+					if !bytes.Equal(gotJournal.Bytes(), refJournal.Bytes()) {
+						t.Errorf("journal bytes differ (%d vs %d bytes)", gotJournal.Len(), refJournal.Len())
+						gl, wl := bytes.Split(gotJournal.Bytes(), []byte("\n")), bytes.Split(refJournal.Bytes(), []byte("\n"))
+						for i := 0; i < len(gl) && i < len(wl); i++ {
+							if !bytes.Equal(gl[i], wl[i]) {
+								t.Errorf("first differing journal line %d:\n got %s\nwant %s", i, gl[i], wl[i])
+								break
+							}
+						}
+					}
+				})
 			}
 		})
 	}

@@ -11,15 +11,22 @@
 // A phase runs as segments between runtime events. Latencies change only
 // when an Atom load completes (Advance) or a hot spot is entered
 // (EnterHotSpot), so each segment drains the due events, reads NextEvent
-// and every hot-spot SI's Latency once, walks the bursts up to the next
-// event with table lookups only, and then reports one Record per SI that
-// ran. The runtime is called once per event, not once per burst.
+// and every hot-spot SI's Latency once, runs the bursts up to the next
+// event, and then accounts and reports one Record per SI that ran. The
+// runtime is called once per event, not once per burst.
+//
+// Within a segment the bursts run a block at a time: workload.Compile
+// summarizes every full block of workload.BlockLen bursts (glue cycles and
+// per-SI executions), and a block that ends at or before the next event
+// runs in one step that costs O(hot-spot SIs). Only the block the event
+// falls in, the tail of a phase, and runs collecting a histogram (which
+// needs each burst's start) walk burst by burst.
 //
 // The hot path is allocation-free in the steady state: workload.Compile
-// resolves the per-SI latencies the inner loop needs into dense tables once
-// per trace, per-SI accounting lives in dense slices indexed by SIID, and
-// RunCompiled reuses a caller-owned Result across runs. Run/RunContext wrap
-// this pipeline for one-shot use.
+// resolves the per-SI latencies and block summaries the inner loop needs
+// once per trace, per-SI accounting lives in dense slices indexed by SIID,
+// and RunCompiled reuses a caller-owned Result across runs. Run/RunContext
+// wrap this pipeline for one-shot use.
 package sim
 
 import (
@@ -132,18 +139,21 @@ type Result struct {
 	// Dense per-SI accounting, indexed by SIID (length: number of SIs of
 	// the ISA the trace was compiled against). The slices are views into
 	// one shared backing array (dense), so a fresh Result costs one
-	// allocation for all counters.
+	// allocation for all counters and scratch.
 	dense   []int64
 	execs   []int64
 	swExecs []int64
 	hwExecs []int64
 	// Per-segment run scratch (see runner.runPhase): each SI's latency,
-	// executions not yet reported, and the end of its last execution.
+	// executions not yet reported, and the end of its last execution — or,
+	// for an SI last seen in a block run in one step, ^k for block k with
+	// segBlk holding that block's end.
 	segLat []int64
 	segN   []int64
 	segEnd []int64
+	segBlk []int64
 	// lastLat is per-run journal scratch (latency change detection).
-	lastLat []int
+	lastLat []int64
 }
 
 // Executions returns the per-SI execution counts as a map with one entry
@@ -219,10 +229,10 @@ func (r *Result) reset(runtime string, nSIs, nPhases int, opts Options) {
 	r.Runtime = runtime
 	r.TotalCycles = 0
 	r.StallCycles = 0
-	if cap(r.dense) < 6*nSIs {
-		r.dense = make([]int64, 6*nSIs)
+	if cap(r.dense) < 8*nSIs {
+		r.dense = make([]int64, 8*nSIs)
 	}
-	r.dense = r.dense[:6*nSIs]
+	r.dense = r.dense[:8*nSIs]
 	for i := range r.dense {
 		r.dense[i] = 0
 	}
@@ -232,14 +242,8 @@ func (r *Result) reset(runtime string, nSIs, nPhases int, opts Options) {
 	r.segLat = r.dense[3*nSIs : 4*nSIs : 4*nSIs]
 	r.segN = r.dense[4*nSIs : 5*nSIs : 5*nSIs]
 	r.segEnd = r.dense[5*nSIs : 6*nSIs : 6*nSIs]
-	if cap(r.lastLat) < nSIs {
-		r.lastLat = make([]int, nSIs)
-	} else {
-		r.lastLat = r.lastLat[:nSIs]
-		for i := range r.lastLat {
-			r.lastLat[i] = 0
-		}
-	}
+	r.segBlk = r.dense[6*nSIs : 7*nSIs : 7*nSIs]
+	r.lastLat = r.dense[7*nSIs : 8*nSIs : 8*nSIs]
 	if cap(r.Phases) < nPhases {
 		r.Phases = make([]PhaseStat, 0, nPhases)
 	} else {
@@ -366,8 +370,8 @@ func (r *runner) recordLats(at int64, spot []isa.SIID) {
 		if r.res.Timeline != nil {
 			r.res.Timeline.Record(at, int(si), lat)
 		}
-		if r.js != nil && r.res.lastLat[si] != lat {
-			r.res.lastLat[si] = lat
+		if r.js != nil && r.res.lastLat[si] != int64(lat) {
+			r.res.lastLat[si] = int64(lat)
 			r.js.emit(JournalEvent{Cycle: at, Event: "latency", SI: int(si), Latency: lat})
 		}
 	}
@@ -406,8 +410,11 @@ func (r *runner) run(ct *workload.Compiled, from int) error {
 // between runtime events. A segment reads every hot-spot SI's latency once
 // and runs the bursts at those latencies until the next event is due; the
 // burst that straddles the event is split there, since executions that
-// start before the event keep the current latency. The segment's
-// executions then reach the runtime through flush.
+// start before the event keep the current latency. At a block boundary, a
+// block that ends at or before the event runs in one step from its
+// summary: every execution in it starts before the event, so the walk
+// would split none of them. The segment's executions then reach the
+// accounting and the runtime through flush.
 func (r *runner) runPhase(ct *workload.Compiled, pi int) error {
 	rt, res := r.rt, r.res
 	if r.canceled() {
@@ -422,7 +429,12 @@ func (r *runner) runPhase(ct *workload.Compiled, pi int) error {
 	r.recordLats(r.now, p.Spot)
 	r.now += p.Setup
 
-	lat, segN, segEnd := res.segLat, res.segN, res.segEnd
+	lat, segN, segEnd, segBlk := res.segLat, res.segN, res.segEnd, res.segBlk
+	// A histogram needs each burst's start, so it walks every burst.
+	nBlocks, stride := 0, 1+len(p.Spot)
+	if res.Histogram == nil {
+		nBlocks = len(p.Blocks) / stride
+	}
 	bi, done := 0, int64(0) // the current burst and its executions already run
 	for {
 		next, pending := r.drain(r.now, p.Spot)
@@ -436,31 +448,45 @@ func (r *runner) runPhase(ct *workload.Compiled, pi int) error {
 			lat[si] = int64(rt.Latency(si))
 		}
 		for bi < len(p.Bursts) {
+			if k := bi / workload.BlockLen; done == 0 && bi%workload.BlockLen == 0 && k < nBlocks {
+				blk := p.Blocks[k*stride : (k+1)*stride]
+				end := r.now + blk[0]
+				for i, si := range p.Spot {
+					end += lat[si] * blk[1+i]
+				}
+				if !pending || end <= next {
+					for i, si := range p.Spot {
+						if n := blk[1+i]; n > 0 {
+							segN[si] += n
+							segEnd[si], segBlk[si] = ^int64(k), end
+						}
+					}
+					r.now = end
+					bi += workload.BlockLen
+					if r.maxCycles > 0 && r.now > r.maxCycles {
+						return fmt.Errorf("sim: exceeded MaxCycles=%d at phase %d", r.maxCycles, pi)
+					}
+					if pending && r.now >= next {
+						break
+					}
+					continue
+				}
+			}
 			b := &p.Bursts[bi]
 			n := int64(b.Count) - done
 			if n == 0 {
 				bi++ // a zero-count burst runs nothing and touches nothing
 				continue
 			}
-			l := lat[b.SI]
-			per := l + int64(b.Gap)
-			if pending {
+			per := lat[b.SI] + int64(b.Gap)
+			if pending && r.now+(n-1)*per >= next {
 				// drain left next > r.now. Executions whose start time is
 				// before the event keep the current latency.
-				if k := (next - r.now + per - 1) / per; k < n {
-					n = k
-				}
+				n = (next - r.now + per - 1) / per
 			}
 			if res.Histogram != nil {
 				res.Histogram.Add(int(b.SI), r.now, n, per)
 			}
-			res.execs[b.SI] += n
-			if l >= int64(ct.SWLatency[b.SI]) {
-				res.swExecs[b.SI] += n
-			} else {
-				res.hwExecs[b.SI] += n
-			}
-			res.StallCycles += n * (l - int64(ct.FastestLatency[b.SI]))
 			r.now += n * per
 			segN[b.SI] += n
 			segEnd[b.SI] = r.now
@@ -474,7 +500,7 @@ func (r *runner) runPhase(ct *workload.Compiled, pi int) error {
 				break
 			}
 		}
-		r.flush(p.Spot)
+		r.flush(ct, p)
 	}
 	rt.LeaveHotSpot(r.now)
 	if r.js != nil {
@@ -484,27 +510,59 @@ func (r *runner) runPhase(ct *workload.Compiled, pi int) error {
 	return nil
 }
 
-// flush reports a segment's executions: one Record per SI that ran, in
+// flush accounts a segment's executions — all of an SI's ran at its
+// segment latency — and reports them: one Record per SI that ran, in
 // ascending order of its last execution's end. Record's effects are
 // commutative counts plus recency stamps where the latest write wins, so
 // this order leaves every stamp where one Record per burst would have left
 // it: a slot shared by several SIs ends up stamped by the one that ran
 // last.
-func (r *runner) flush(spot []isa.SIID) {
-	segN, segEnd := r.res.segN, r.res.segEnd
+func (r *runner) flush(ct *workload.Compiled, p *workload.CompiledPhase) {
+	res := r.res
+	lat, segN, segEnd := res.segLat, res.segN, res.segEnd
+	for _, si := range p.Spot {
+		n := segN[si]
+		if n == 0 {
+			continue
+		}
+		l := lat[si]
+		res.execs[si] += n
+		if l >= int64(ct.SWLatency[si]) {
+			res.swExecs[si] += n
+		} else {
+			res.hwExecs[si] += n
+		}
+		res.StallCycles += n * (l - int64(ct.FastestLatency[si]))
+		if segEnd[si] < 0 {
+			segEnd[si] = lastEnd(p, lat, si, int(^segEnd[si]), res.segBlk[si])
+		}
+	}
 	for {
 		first := -1
-		for i, si := range spot {
-			if segN[si] > 0 && (first < 0 || segEnd[si] < segEnd[spot[first]]) {
+		for i, si := range p.Spot {
+			if segN[si] > 0 && (first < 0 || segEnd[si] < segEnd[p.Spot[first]]) {
 				first = i
 			}
 		}
 		if first < 0 {
 			return
 		}
-		si := spot[first]
+		si := p.Spot[first]
 		r.rt.Record(si, segN[si], segEnd[si])
 		segN[si] = 0
+	}
+}
+
+// lastEnd returns the end of si's last execution in block k of p, which
+// ran whole at latencies lat and ended at end: it walks the block backward
+// from its last burst to si's last burst that ran anything.
+func lastEnd(p *workload.CompiledPhase, lat []int64, si isa.SIID, k int, end int64) int64 {
+	for j := (k+1)*workload.BlockLen - 1; ; j-- {
+		b := &p.Bursts[j]
+		if b.SI == si && b.Count > 0 {
+			return end
+		}
+		end -= int64(b.Count) * (lat[b.SI] + int64(b.Gap))
 	}
 }
 

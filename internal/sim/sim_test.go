@@ -174,6 +174,100 @@ func TestZeroCountBurstMovesNoStamp(t *testing.T) {
 	}
 }
 
+// burstRun is n copies of one burst.
+type burstRun struct {
+	n int
+	b workload.Burst
+}
+
+// blockTrace builds a one-phase ME trace of the runs' bursts in order.
+func blockTrace(runs ...burstRun) *workload.Trace {
+	tb := workload.NewBuilder("blocks").Phase(isa.HotSpotME, 0)
+	for _, r := range runs {
+		for i := 0; i < r.n; i++ {
+			tb.Burst(r.b.SI, r.b.Count, r.b.Gap)
+		}
+	}
+	return tb.Build()
+}
+
+// TestBlockStepEdges pins the block step at its edges. Every burst has gap
+// 5, and every execution takes 100 cycles before the scripted upgrade and
+// 15 after it, so a block of workload.BlockLen (B) one-execution bursts
+// lasts 12,800 cycles at the slow latency. Each case runs twice: as sweeps
+// run it, stepping over whole blocks, and with a histogram, which walks
+// every burst; both must leave the same cycles and Records.
+func TestBlockStepEdges(t *testing.T) {
+	const B = workload.BlockLen
+	sad := func(n, count int) burstRun { return burstRun{n, workload.Burst{SI: isa.SISAD, Count: count, Gap: 5}} }
+	satd := func(n, count int) burstRun { return burstRun{n, workload.Burst{SI: isa.SISATD, Count: count, Gap: 5}} }
+	never := int64(1) << 60
+	cases := []struct {
+		name    string
+		tr      *workload.Trace
+		eventAt int64
+		total   int64
+		records []recordCall
+	}{{
+		// Block 0 ends exactly at the event: it runs whole and slow, and
+		// the segment ends with it.
+		name: "event at a block's end", tr: blockTrace(sad(B, 1), satd(B, 1)), eventAt: 100 * B,
+		total:   100*B + 15*B,
+		records: []recordCall{{isa.SISAD, B, 100 * B}, {isa.SISATD, B, 100*B + 15*B}},
+	}, {
+		// One cycle into block 1: its first execution starts before the
+		// event and runs slow, the rest run fast.
+		name: "event one cycle inside a block", tr: blockTrace(sad(B, 1), satd(B, 1)), eventAt: 100*B + 1,
+		total:   100*B + 100 + 15*(B-1),
+		records: []recordCall{{isa.SISAD, B, 100 * B}, {isa.SISATD, 1, 100*B + 100}, {isa.SISATD, B - 1, 100*B + 100 + 15*(B-1)}},
+	}, {
+		// One cycle before block 0's last execution starts: that execution
+		// runs fast, so the block cannot run whole at the slow latency.
+		name: "event before a block's last execution", tr: blockTrace(sad(B, 1), satd(B, 1)), eventAt: 100*(B-1) - 1,
+		total:   100*(B-1) + 15 + 15*B,
+		records: []recordCall{{isa.SISAD, B - 1, 100 * (B - 1)}, {isa.SISAD, 1, 100*(B-1) + 15}, {isa.SISATD, B, 100*(B-1) + 15 + 15*B}},
+	}, {
+		// The event splits block 0 after 65 executions; the next segment
+		// starts mid-block, walks to block 1 and steps over it whole.
+		name: "segment starting mid-block", tr: blockTrace(sad(B, 1), satd(B, 1)), eventAt: 6450,
+		total:   6500 + 15*(B-65) + 15*B,
+		records: []recordCall{{isa.SISAD, 65, 6500}, {isa.SISAD, B - 65, 6500 + 15*(B-65)}, {isa.SISATD, B, 6500 + 15*(B-65) + 15*B}},
+	}, {
+		// Zero-count bursts open and close both blocks; SATD's empty last
+		// burst must not move its report to the block's end.
+		name: "zero-count bursts at block edges", eventAt: never,
+		tr: blockTrace(satd(1, 0), satd(1, 2), sad(B-3, 1), satd(1, 0),
+			sad(1, 0), satd(B-3, 1), sad(1, 1), satd(1, 0)),
+		total:   200 + 100*(B-3) + 100*(B-3) + 100,
+		records: []recordCall{{isa.SISATD, 2 + B - 3, 200 + 200*(B-3)}, {isa.SISAD, B - 2, 200 + 200*(B-3) + 100}},
+	}, {
+		// SATD's last burst opens block 0, and block 1 follows in the same
+		// segment: SATD is reported at its own last execution's end.
+		name: "SI whose last burst opens its block", eventAt: never,
+		tr:      blockTrace(satd(1, 3), sad(B-1, 1), sad(B, 1)),
+		total:   300 + 100*(2*B-1),
+		records: []recordCall{{isa.SISATD, 3, 300}, {isa.SISAD, 2*B - 1, 300 + 100*(2*B-1)}},
+	}}
+	is := isa.H264()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, opts := range []Options{{}, {HistogramBucket: 1 << 40}} {
+				rt := &eventRuntime{is: is, eventAt: c.eventAt, slow: 95, fast: 10}
+				res, err := Run(c.tr, is, rt, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.TotalCycles != c.total {
+					t.Errorf("histogram %t: TotalCycles = %d, want %d", opts.HistogramBucket > 0, res.TotalCycles, c.total)
+				}
+				if !slices.Equal(rt.records, c.records) {
+					t.Errorf("histogram %t: records = %v, want %v", opts.HistogramBucket > 0, rt.records, c.records)
+				}
+			}
+		})
+	}
+}
+
 func TestEventDuringSetupApplies(t *testing.T) {
 	is := isa.H264()
 	tr := workload.NewBuilder("b").

@@ -8,6 +8,9 @@ import (
 	"rispp/internal/isa"
 )
 
+// BlockLen is the number of bursts one block summary covers.
+const BlockLen = 128
+
 // CompiledPhase is one hot-spot phase of a compiled trace.
 type CompiledPhase struct {
 	HotSpot isa.HotSpotID
@@ -16,18 +19,28 @@ type CompiledPhase struct {
 	// is capped at its length, so an append through it cannot write into
 	// the source.
 	Bursts []Burst
-	// Spot lists the SIs of the phase's hot spot; phases of the same hot
-	// spot share one slice.
+	// Spot lists the SIs of the phase's hot spot in ascending id order;
+	// phases of the same hot spot share one slice.
 	Spot []isa.SIID
+	// Blocks summarizes every full run of BlockLen bursts, so the simulator
+	// can run a block in one step when no event falls inside it. Block k
+	// is Blocks[k*(1+len(Spot)):][:1+len(Spot)]: its glue cycles
+	// (Σ Count·Gap of Bursts[k*BlockLen:(k+1)*BlockLen]) followed by its
+	// executions of each Spot SI, in Spot order. A tail shorter than
+	// BlockLen, and a phase shorter than BlockLen, carry no summary.
+	Blocks []int64
 }
 
 // Compiled is a trace lowered for the simulator hot path: phases read the
 // source bursts in place, the two per-SI latencies the inner loop needs are
-// resolved once per SI into dense tables, and the hot-spot SI sets are
-// computed once per hot spot instead of once per phase. A Compiled trace is
-// immutable and safe for concurrent simulation runs — provided its source
-// trace is never modified after Compile, since the compiled phases alias
-// the source's bursts.
+// resolved once per SI into dense tables, the hot-spot SI sets are computed
+// once per hot spot instead of once per phase, and every full block of
+// BlockLen bursts carries a summary (glue cycles and per-SI executions) the
+// simulator steps over in O(hot-spot SIs). The summaries of all phases are
+// carved from one allocation. A Compiled trace is immutable and safe for
+// concurrent simulation runs — provided its source trace is never modified
+// after Compile, since the compiled phases alias the source's bursts and
+// the summaries are derived from them.
 type Compiled struct {
 	// Trace is the source trace: its bursts back the compiled phases, and
 	// forecast seeding and the oracle read it directly.
@@ -131,16 +144,23 @@ func Compile(tr *Trace, is *isa.ISA) (*Compiled, error) {
 		ct.FastestLatency[i] = is.SIs[i].Fastest().Latency
 	}
 	spots := make(map[isa.HotSpotID][]isa.SIID)
+	// pos[si] is si's index in its hot spot's Spot slice; small ISAs keep
+	// the table on the stack.
+	var posBuf [64]int
+	pos := posBuf[:]
+	if n > len(posBuf) {
+		pos = make([]int, n)
+	}
+	nSums := 0
 	for i := range tr.Phases {
 		p := &tr.Phases[i]
 		spot, ok := spots[p.HotSpot]
 		if !ok {
-			sis := is.HotSpotSIs(p.HotSpot)
-			spot = make([]isa.SIID, 0, len(sis))
-			for _, s := range sis {
-				spot = append(spot, s.ID)
-			}
+			spot = hotSpotSIs(is, p.HotSpot)
 			spots[p.HotSpot] = spot
+			for j, si := range spot {
+				pos[si] = j
+			}
 		}
 		ct.Phases = append(ct.Phases, CompiledPhase{
 			HotSpot: p.HotSpot,
@@ -148,6 +168,47 @@ func Compile(tr *Trace, is *isa.ISA) (*Compiled, error) {
 			Bursts:  p.Bursts[:len(p.Bursts):len(p.Bursts)],
 			Spot:    spot,
 		})
+		nSums += len(p.Bursts) / BlockLen * (1 + len(spot))
+	}
+	sums := make([]int64, nSums)
+	for i := range ct.Phases {
+		p := &ct.Phases[i]
+		n := len(p.Bursts) / BlockLen * (1 + len(p.Spot))
+		if n > 0 {
+			p.Blocks, sums = sums[:n:n], sums[n:]
+			summarize(p, pos)
+		}
 	}
 	return ct, nil
+}
+
+// hotSpotSIs lists the ids of hot spot h's SIs in ascending order, sized
+// by a counting pass so the slice is allocated once.
+func hotSpotSIs(is *isa.ISA, h isa.HotSpotID) []isa.SIID {
+	n := 0
+	for i := range is.SIs {
+		if is.SIs[i].HotSpot == h {
+			n++
+		}
+	}
+	spot := make([]isa.SIID, 0, n)
+	for i := range is.SIs {
+		if is.SIs[i].HotSpot == h {
+			spot = append(spot, is.SIs[i].ID)
+		}
+	}
+	return spot
+}
+
+// summarize fills p.Blocks from p.Bursts. Validate has checked that every
+// burst's SI belongs to the phase's hot spot, so pos[b.SI] indexes p.Spot.
+func summarize(p *CompiledPhase, pos []int) {
+	stride := 1 + len(p.Spot)
+	for k := 0; (k+1)*stride <= len(p.Blocks); k++ {
+		blk := p.Blocks[k*stride : (k+1)*stride]
+		for _, b := range p.Bursts[k*BlockLen : (k+1)*BlockLen] {
+			blk[0] += int64(b.Count) * int64(b.Gap)
+			blk[1+pos[b.SI]] += int64(b.Count)
+		}
+	}
 }

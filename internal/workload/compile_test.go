@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,8 +55,10 @@ func TestCompileH264(t *testing.T) {
 }
 
 // TestCompileAllocs pins the cost of compiling the 20-frame H.264 trace
-// (71,280 bursts): the bursts are read in place, so compiling allocates
-// per phase and per SI, never per burst.
+// (71,280 bursts): the bursts are read in place and the block summaries
+// are carved from one allocation, so compiling allocates per hot spot and
+// per trace, and its bytes grow per block of BlockLen bursts, never per
+// burst.
 func TestCompileAllocs(t *testing.T) {
 	is := isa.H264()
 	tr := H264(H264Config{Frames: 20})
@@ -69,6 +72,48 @@ func TestCompileAllocs(t *testing.T) {
 	})
 	if bytes, allocs := r.AllocedBytesPerOp(), r.AllocsPerOp(); bytes >= 64<<10 || allocs > 13 {
 		t.Errorf("compiling a 20-frame H.264 trace: %d B in %d allocs, want < 64 KiB in ≤ 13", bytes, allocs)
+	}
+}
+
+// TestCompileBlockSummaries checks every block summary against its bursts:
+// one summary per full block of BlockLen bursts (glue cycles, then the
+// executions of each hot-spot SI in Spot order), none for a tail or a
+// short phase, and no capacity past a phase's own summaries.
+func TestCompileBlockSummaries(t *testing.T) {
+	is := isa.H264()
+	tr := H264(H264Config{Frames: 2, MotionVariability: 0.3, Seed: 5})
+	short := NewBuilder("short").Phase(isa.HotSpotME, 0).Burst(isa.SISAD, 3, 1).Build()
+	tr.Phases = append(tr.Phases, short.Phases...)
+	ct, err := Compile(tr, is)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := 0
+	for i := range ct.Phases {
+		p := &ct.Phases[i]
+		stride := 1 + len(p.Spot)
+		n := len(p.Bursts) / BlockLen
+		if len(p.Blocks) != n*stride || cap(p.Blocks) != len(p.Blocks) {
+			t.Fatalf("phase %d (%d bursts): %d summary values, capacity %d; want %d",
+				i, len(p.Bursts), len(p.Blocks), cap(p.Blocks), n*stride)
+		}
+		if n == 0 && p.Blocks != nil {
+			t.Errorf("phase %d (%d bursts): summaries %v, want nil", i, len(p.Bursts), p.Blocks)
+		}
+		for k := 0; k < n; k++ {
+			want := make([]int64, stride)
+			for _, b := range p.Bursts[k*BlockLen : (k+1)*BlockLen] {
+				want[0] += int64(b.Count) * int64(b.Gap)
+				want[1+slices.Index(p.Spot, b.SI)] += int64(b.Count)
+			}
+			if got := p.Blocks[k*stride : (k+1)*stride]; !slices.Equal(got, want) {
+				t.Errorf("phase %d block %d: summary %v, want %v", i, k, got, want)
+			}
+			blocks++
+		}
+	}
+	if want := 2 * (792/BlockLen + 2376/BlockLen + 396/BlockLen); blocks != want {
+		t.Errorf("%d blocks summarized, want %d", blocks, want)
 	}
 }
 

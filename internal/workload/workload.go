@@ -9,6 +9,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"rispp/internal/isa"
 )
@@ -134,8 +135,13 @@ func (b *Builder) Burst(si isa.SIID, count, gap int) *Builder {
 	return b
 }
 
-// Build returns the assembled trace.
+// Build returns the assembled trace. Its phase and burst slices are
+// exact-capacity copies, so the trace keeps none of the builder's append
+// slack and later calls on the builder leave it unchanged.
 func (b *Builder) Build() *Trace {
-	t := b.trace
-	return &t
+	t := &Trace{Name: b.trace.Name, Phases: slices.Clip(slices.Clone(b.trace.Phases))}
+	for i := range t.Phases {
+		t.Phases[i].Bursts = slices.Clip(slices.Clone(t.Phases[i].Bursts))
+	}
+	return t
 }

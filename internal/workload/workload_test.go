@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"rispp/internal/isa"
@@ -119,6 +120,48 @@ func TestBuilder(t *testing.T) {
 	if tr.Phases[0].Executions() != 14 {
 		t.Fatalf("phase 0 executions = %d", tr.Phases[0].Executions())
 	}
+}
+
+// TestBuildCopiesExactCapacity checks that Build hands out exact-capacity
+// copies: no append slack is retained, a phase without bursts and a
+// builder without phases stay nil, and building on afterwards leaves the
+// built trace unchanged.
+func TestBuildCopiesExactCapacity(t *testing.T) {
+	if tr := NewBuilder("empty").Build(); tr.Phases != nil {
+		t.Errorf("trace without phases has Phases %#v, want nil", tr.Phases)
+	}
+	b := NewBuilder("custom").Phase(isa.HotSpotME, 100)
+	for i := 0; i < 5; i++ {
+		b.Burst(isa.SISAD, 10+i, 5)
+	}
+	b.Phase(isa.HotSpotEE, 0).Phase(isa.HotSpotLF, 50).Burst(isa.SILFBS4, 8, 2)
+	tr := b.Build()
+	want := &Trace{Name: "custom", Phases: []Phase{
+		{HotSpot: isa.HotSpotME, Setup: 100, Bursts: []Burst{
+			{isa.SISAD, 10, 5}, {isa.SISAD, 11, 5}, {isa.SISAD, 12, 5}, {isa.SISAD, 13, 5}, {isa.SISAD, 14, 5}}},
+		{HotSpot: isa.HotSpotEE},
+		{HotSpot: isa.HotSpotLF, Setup: 50, Bursts: []Burst{{isa.SILFBS4, 8, 2}}},
+	}}
+	check := func(when string) {
+		t.Helper()
+		if !reflect.DeepEqual(tr, want) {
+			t.Fatalf("%s: built trace = %+v, want %+v", when, tr, want)
+		}
+		if cap(tr.Phases) != len(tr.Phases) {
+			t.Errorf("%s: Phases capacity %d, length %d", when, cap(tr.Phases), len(tr.Phases))
+		}
+		for i, p := range tr.Phases {
+			if cap(p.Bursts) != len(p.Bursts) {
+				t.Errorf("%s: phase %d Bursts capacity %d, length %d", when, i, cap(p.Bursts), len(p.Bursts))
+			}
+		}
+		if tr.Phases[1].Bursts != nil {
+			t.Errorf("%s: phase without bursts has Bursts %#v, want nil", when, tr.Phases[1].Bursts)
+		}
+	}
+	check("after Build")
+	b.Burst(isa.SILFBS4, 1, 1).Phase(isa.HotSpotME, 7).Burst(isa.SISATD, 2, 3)
+	check("after building on")
 }
 
 func TestBuilderBurstWithoutPhasePanics(t *testing.T) {
