@@ -30,17 +30,30 @@ func deltaGrid() []explore.Point {
 // on every point. A trail serves only its own budget, so the first pass
 // records every RISPP and Molen point; the software points ignore NumACs
 // and share one trail, so one records and the other three are served. The
-// second pass over the grid must be served from trails alone.
+// second pass over the grid must be served from trails alone. After each
+// pass the delta Runner has built one runtime per record or resume and the
+// delta-disabled one a runtime per point run: neither keeps one to reuse.
 func TestDeltaSweepMatchesDisabled(t *testing.T) {
 	pts := deltaGrid()
 	plain := NewRunner(Config{DisableDelta: true})
 	delta := NewRunner(Config{})
+	checkBuilds := func(pass int) {
+		t.Helper()
+		_, resumes, records := delta.DeltaStats()
+		if hits, built := delta.RuntimePoolStats(); hits != 0 || built != resumes+records {
+			t.Errorf("after pass %d: delta Runner hits=%d built=%d, want 0/%d", pass, hits, built, resumes+records)
+		}
+		if hits, built := plain.RuntimePoolStats(); hits != 0 || built != int64(pass*len(pts)) {
+			t.Errorf("after pass %d: plain Runner hits=%d built=%d, want 0/%d", pass, hits, built, pass*len(pts))
+		}
+	}
 
 	for pass := 0; pass < 2; pass++ {
 		if pass == 1 {
 			if serves, resumes, records := delta.DeltaStats(); serves != 3 || resumes != 0 || records != 21 {
 				t.Errorf("after pass 1: serves=%d resumes=%d records=%d, want 3/0/21", serves, resumes, records)
 			}
+			checkBuilds(1)
 		}
 		for i, p := range pts {
 			want, got := new(sim.Result), new(sim.Result)
@@ -66,6 +79,7 @@ func TestDeltaSweepMatchesDisabled(t *testing.T) {
 	if serves, resumes, records := delta.DeltaStats(); serves != 3+int64(len(pts)) || resumes != 0 || records != 21 {
 		t.Errorf("after pass 2: serves=%d resumes=%d records=%d, want %d/0/21", serves, resumes, records, 3+len(pts))
 	}
+	checkBuilds(2)
 }
 
 // TestDeltaJournalBytes: a point served from a trail must reproduce the
@@ -91,7 +105,7 @@ func TestDeltaJournalBytes(t *testing.T) {
 }
 
 // TestDeltaDisabledForIneligibleCollect: histogram/timeline runs bypass the
-// trail layer entirely.
+// trail layer entirely, so each run builds its own runtime.
 func TestDeltaDisabledForIneligibleCollect(t *testing.T) {
 	rn := NewRunner(Config{})
 	p := explore.Point{Scheduler: "HEF", NumACs: 10, Frames: 1, SeedForecasts: true}
@@ -104,8 +118,8 @@ func TestDeltaDisabledForIneligibleCollect(t *testing.T) {
 	if serves, resumes, records := rn.DeltaStats(); serves+resumes+records != 0 {
 		t.Errorf("delta stats for ineligible collect: %d/%d/%d, want all zero", serves, resumes, records)
 	}
-	if hits, misses := rn.RuntimePoolStats(); hits != 1 || misses != 1 {
-		t.Errorf("pool stats: hits=%d misses=%d, want 1/1", hits, misses)
+	if hits, built := rn.RuntimePoolStats(); hits != 0 || built != 2 {
+		t.Errorf("runtime stats: hits=%d built=%d, want 0/2", hits, built)
 	}
 }
 

@@ -431,8 +431,8 @@ func (m *Manager) SaveState(dst any) {
 // RestoreState overwrites the Manager's state with a saved one, replacing
 // the Reset a fresh run would perform. The selection budget returns to the
 // full fabric (SetBudget does not survive a restore) and Requests is
-// cleared — both are rebuilt by the next EnterHotSpot. Only the runtime
-// pool owner may restore a Manager; see ARCHITECTURE.md on checkpoint
+// cleared — both are rebuilt by the next EnterHotSpot. Only the run that
+// owns the Manager may restore it; see ARCHITECTURE.md on checkpoint
 // ownership.
 func (m *Manager) RestoreState(src any) {
 	s := src.(*State)

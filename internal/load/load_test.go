@@ -140,8 +140,6 @@ rispp_tenant_shed_total{tenant="bronze",reason="rate"} 7
 rispp_tenant_shed_total{tenant="gold",reason="queue"} 2
 rispp_tenant_admitted_total{tenant="gold",class="interactive"} 41
 rispp_qos_queue_depth{class="batch"} 3
-rispp_runtime_pool_total{outcome="hit"} 90
-rispp_runtime_pool_total{outcome="miss"} 10
 rispp_endpoint_latency_seconds_bucket{route="/v1/simulate",le="0.001"} 50
 rispp_endpoint_latency_seconds_bucket{route="/v1/simulate",le="0.005"} 90
 rispp_endpoint_latency_seconds_bucket{route="/v1/simulate",le="+Inf"} 100
@@ -156,9 +154,6 @@ rispp_endpoint_latency_seconds_count{route="/v1/simulate"} 100
 	}
 	if st.QueueDepth["batch"] != 3 {
 		t.Errorf("queue depth = %v", st.QueueDepth)
-	}
-	if st.PoolHits != 90 || st.PoolMisses != 10 {
-		t.Errorf("pool = %d/%d", st.PoolHits, st.PoolMisses)
 	}
 	p50 := st.EndpointP50MS["/v1/simulate"]
 	if p50 <= 0 || p50 > 1 {

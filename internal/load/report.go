@@ -60,9 +60,6 @@ type ServerStats struct {
 	EndpointP99MS map[string]float64 `json:"endpoint_p99_ms,omitempty"`
 	// QueueDepth is the scrape-time QoS queue depth per class.
 	QueueDepth map[string]int64 `json:"queue_depth,omitempty"`
-	// PoolHits/PoolMisses are the runtime-pool reuse counters.
-	PoolHits   int64 `json:"pool_hits"`
-	PoolMisses int64 `json:"pool_misses"`
 }
 
 // Report is the machine-readable result of one load run. cmd/risppload
@@ -329,12 +326,6 @@ func parseServerStats(text string) ServerStats {
 			st.TenantAdmits[labels["tenant"]+"/"+labels["class"]] = int64(value)
 		case "rispp_qos_queue_depth":
 			st.QueueDepth[labels["class"]] = int64(value)
-		case "rispp_runtime_pool_total":
-			if labels["outcome"] == "hit" {
-				st.PoolHits = int64(value)
-			} else {
-				st.PoolMisses = int64(value)
-			}
 		case "rispp_endpoint_latency_seconds_bucket":
 			route := labels["route"]
 			h := hists[route]

@@ -131,9 +131,9 @@ func DiffJournal(want []Event, gotJournal io.Reader) error {
 
 // DiffResults cross-checks two simulator Results field by field — the
 // sim-vs-sim counterpart of Diff, used to prove runtime reuse (Reset +
-// rerun, pooled runtimes) behaviorally invisible: a reused runtime's Result
-// must match a fresh construction's exactly. It returns nil when the
-// results agree, or an error naming the first divergence.
+// rerun) behaviorally invisible: a reused runtime's Result must match a
+// fresh construction's exactly. It returns nil when the results agree, or
+// an error naming the first divergence.
 func DiffResults(want, got *sim.Result) error {
 	if want.Runtime != got.Runtime {
 		return fmt.Errorf("oracle: runtime %q, reused run has %q", want.Runtime, got.Runtime)

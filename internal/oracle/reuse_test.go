@@ -1,6 +1,6 @@
 // Reuse-equivalence gate: a runtime that has already executed a workload
-// and is then rerun (the simulator Resets it in place — the contract the
-// rispp.Runner runtime pool is built on) must produce results field-exact
+// and is then rerun (the simulator Resets it in place — the contract every
+// caller that reuses a runtime relies on) must produce results field-exact
 // identical to a freshly constructed runtime, including the JSONL journal
 // byte for byte. The property is checked over the oracle's seeded
 // generators: hundreds of (hardware, workload, AC-count) configurations
@@ -61,7 +61,7 @@ func TestReuseEquivalenceGeneratedCorpus(t *testing.T) {
 			reused := newRuntime(t, sys, is, acs, tr)
 			var scratch sim.Result
 			// Dirty the runtime with a full artifact-free run, then rerun
-			// with the real options — the pool's reuse pattern.
+			// with the real options — a reusing caller's pattern.
 			if err := sim.RunCompiled(context.Background(), ct, reused, sim.Options{}, &scratch); err != nil {
 				t.Fatal(err)
 			}

@@ -126,8 +126,9 @@ func (c *counterVec) write(w io.Writer, name, help string) {
 
 // metrics is what the server records: labeled counters, per-route latency
 // histograms and a few atomics. All methods are safe for concurrent use.
-// Live state (queue depths, cost classes, the runtime pool, the fleet, the
-// job store) is not copied here; writeMetrics reads it where it lives.
+// Live state (queue depths, cost classes, the Runner's delta counters, the
+// fleet, the job store) is not copied here; writeMetrics reads it where it
+// lives.
 type metrics struct {
 	requests counterVec // completed requests by route and status code
 	sheds    counterVec // rejected (429) requests by tenant and reason
@@ -243,10 +244,11 @@ func (s *Server) writeMetrics(w io.Writer) {
 	single(w, "rispp_search_suggested_points_total", "counter", "Design points proposed by /v1/suggest.", m.suggestPoints.Load())
 	single(w, "rispp_search_front_size", "gauge", "Pareto-front size of the most recent /v1/suggest reply.", m.frontSize.Load())
 
-	hits, misses := s.runner.RuntimePoolStats()
-	family(w, "rispp_runtime_pool_total", "counter", "Runtime-pool requests by outcome (hit = reused arena, miss = fresh build).")
-	fmt.Fprintf(w, "rispp_runtime_pool_total{outcome=\"hit\"} %d\n", hits)
-	fmt.Fprintf(w, "rispp_runtime_pool_total{outcome=\"miss\"} %d\n", misses)
+	serves, resumes, records := s.runner.DeltaStats()
+	family(w, "rispp_delta_total", "counter", "Delta-resimulation point runs by outcome (serve = own trail, resume = extended trail, record = from power-on).")
+	fmt.Fprintf(w, "rispp_delta_total{outcome=\"serve\"} %d\n", serves)
+	fmt.Fprintf(w, "rispp_delta_total{outcome=\"resume\"} %d\n", resumes)
+	fmt.Fprintf(w, "rispp_delta_total{outcome=\"record\"} %d\n", records)
 
 	single(w, "rispp_panics_total", "counter", "Recovered handler panics.", m.panics.Load())
 }

@@ -1,7 +1,8 @@
-// Race stress of the runtime pool: concurrent /v1/simulate requests and
+// Race stress of a shared Runner: concurrent /v1/simulate requests and
 // explore.Engine sweeps — grouped through the engine's RunSet hook —
 // hammer one shared rispp.Runner, checking every concurrent measurement
-// against a sequential baseline. Run under -race (the CI race job does).
+// against a sequential baseline and that every run built its own runtime.
+// Run under -race (the CI race job does).
 package serve
 
 import (
@@ -36,9 +37,10 @@ func TestSimulateAndEngineSweepShareRunnerRaceFree(t *testing.T) {
 		want[p.Normalized().Key()] = res.TotalCycles
 	}
 
-	// CacheEntries < 0 disables the response cache, so every request takes
-	// a runtime from the shared pool instead of short-circuiting; delta-
-	// resimulation is off for the same reason (trail serves skip the pool).
+	// CacheEntries < 0 disables the response cache, so every request not
+	// coalesced with an identical one in flight simulates; delta-
+	// resimulation is off for the same reason (trail serves build no
+	// runtime).
 	s := New(Config{Workers: 8, CacheEntries: -1}, rispp.Config{DisableDelta: true})
 	h := s.Handler()
 	const rounds = 6
@@ -96,8 +98,11 @@ func TestSimulateAndEngineSweepShareRunnerRaceFree(t *testing.T) {
 	}
 	wg.Wait()
 
-	hits, misses := s.runner.RuntimePoolStats()
-	if hits == 0 || misses == 0 {
-		t.Errorf("stress did not exercise the pool: hits=%d misses=%d", hits, misses)
+	// Every response-cache miss ran one simulation (coalesced followers
+	// count as hits), and each of the four sweeping goroutines ran every
+	// point once a round.
+	runs := s.met.cacheMiss.Load() + 4*rounds*int64(len(pts))
+	if hits, built := s.runner.RuntimePoolStats(); hits != 0 || built != runs {
+		t.Errorf("runtime stats: hits=%d built=%d, want 0/%d (one build per run)", hits, built, runs)
 	}
 }

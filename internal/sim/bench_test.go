@@ -151,10 +151,10 @@ func allRuntimes(tb testing.TB, is *isa.ISA, ct *workload.Compiled) []namedRunti
 	return out
 }
 
-// BenchmarkRunReused measures the reused one-shot path the sweep stack
-// pays per point with runtime pooling: construct each run-time system once,
-// then Reset+run per iteration (RunCompiled resets the runtime itself).
-// Steady state must be 0 allocs/op for all six systems.
+// BenchmarkRunReused measures the reuse path open to direct callers of the
+// simulator: construct each run-time system once, then Reset+run per
+// iteration (RunCompiled resets the runtime itself). Steady state must be
+// 0 allocs/op for all six systems.
 func BenchmarkRunReused(b *testing.B) {
 	is, ct := compiledFrame(b, 1)
 	for _, nr := range allRuntimes(b, is, ct) {

@@ -26,7 +26,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"rispp/internal/bitstream"
 	"rispp/internal/core"
 	"rispp/internal/explore"
 	"rispp/internal/isa"
@@ -75,9 +74,6 @@ type Config struct {
 	// ExhaustiveSelection switches RISPP to the exponential reference
 	// Molecule selection (ablation; small SI sets per hot spot only).
 	ExhaustiveSelection bool
-	// Bitstreams optionally drives the reconfiguration port from generated
-	// partial-bitstream images (see internal/bitstream).
-	Bitstreams *bitstream.Repository
 	// Prefetch enables reconfiguration prefetching for the predicted next
 	// hot spot while the port would otherwise idle (extension, RISPP only).
 	Prefetch bool
@@ -94,8 +90,8 @@ type Config struct {
 	// the serving layer): every point then simulates from power-on even
 	// when its own checkpoint trail could serve it or a shorter trace's
 	// trail could be extended to it. Results are identical either way; the
-	// knob exists for benchmarking the raw simulator and for tests that pin
-	// runtime-pool behavior.
+	// knob exists for benchmarking the raw simulator and for reference runs
+	// that must simulate every point.
 	DisableDelta bool
 }
 
@@ -162,7 +158,6 @@ func NewRuntime(cfg Config) (sim.Runtime, error) {
 			Eviction:            cfg.Eviction,
 			MonitorShift:        cfg.MonitorShift,
 			ExhaustiveSelection: cfg.ExhaustiveSelection,
-			Bitstreams:          cfg.Bitstreams,
 			Prefetch:            cfg.Prefetch,
 		})
 		if cfg.SeedForecasts {
@@ -207,34 +202,26 @@ func RunContext(ctx context.Context, cfg Config) (*sim.Result, error) {
 // set) is used for every point and excludes scenario points — in that case
 // do not share an explore.Cache across different traces, since the point
 // key only describes the knobs.
-// Runtimes are pooled too: runtime construction allocates the full arena
-// set (monitor tables, Atom Container array, scheduler scratch), while a
-// reused runtime is Reset in place by the simulator and re-runs without
-// allocating. The pool is keyed by everything that distinguishes one
-// runtime build from another under a fixed base config — scheduler, #ACs,
-// forecast seeding, prefetching, and the workload knobs (forecast seeds
-// derive from the trace). Software points ignore NumACs, so all their
-// budgets share one key.
 //
-// Unless Config.DisableDelta is set, every eligible run also leaves a
-// checkpoint trail (sim.Trail) under its runtime key: a repeat of the point
-// is served from it without simulating, and a longer trace of the same
-// workload family at the same budget resumes from it (see DeltaStats).
+// A Runner keeps no runtimes: each simulated run builds its own with
+// NewRuntime and drops it when the run ends. Unless Config.DisableDelta is
+// set, every eligible run leaves a checkpoint trail (sim.Trail) instead: a
+// repeat of the point is served from it without building a runtime, and a
+// longer trace of the same workload family at the same budget resumes from
+// it (see DeltaStats).
 type Runner struct {
 	base     Config         // Bus already applied (see NewRunner)
 	bus      *membus.Config // stretches every trace the Runner generates
 	results  sync.Pool      // *sim.Result, reused across runs
 	compiled sync.Map       // workKey → *workload.Compiled
+	built    atomic.Int64   // runtimes built by RunPoint
 
-	runtimes             sync.Map // runtimeKey → *runtimePool
-	poolHits, poolMisses atomic.Int64
-
-	// trails holds completed delta-resimulation trails (sim.Trail) keyed by
-	// the runtime key with the frame count zeroed: a trail serves its own
-	// point and extends to longer traces of its workload family, both at
-	// its own budget. Only complete trails are stored, and a complete trail
-	// is immutable, so reading one needs no lock.
-	trails                               sync.Map // runtimeKey (Frames zeroed) → *trailSet
+	// trails holds completed delta-resimulation trails (sim.Trail) by
+	// workload family: a trail serves its own point and extends to longer
+	// traces of its family, both at its own budget. Only complete trails
+	// are stored, and a complete trail is immutable, so reading one needs
+	// no lock.
+	trails                               sync.Map // runtimeKey → *trailSet
 	deltaServes, deltaResumes, deltaRecs atomic.Int64
 }
 
@@ -302,44 +289,10 @@ func (ts *trailSet) store(frames int, t *sim.Trail) {
 	ts.entries = append(ts.entries, trailEntry{frames: frames, t: t})
 }
 
-// runtimePool is a per-key free list of idle runtimes. Unlike sync.Pool it
-// holds strong references: a runtime arena is a deliberate, bounded cache
-// (the list can never exceed the peak number of concurrent runs per key),
-// and dropping it on every GC — which the construction garbage of the
-// resulting misses itself triggers — would defeat the cache exactly when
-// it is needed.
-type runtimePool struct {
-	mu   sync.Mutex
-	free []sim.Runtime
-}
-
-// maxPooledPerKey bounds each free list as a safety net; in practice the
-// list size equals the peak concurrency on the key (a handful).
-const maxPooledPerKey = 32
-
-func (p *runtimePool) get() (sim.Runtime, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.free); n > 0 {
-		rt := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return rt, true
-	}
-	return nil, false
-}
-
-func (p *runtimePool) put(rt sim.Runtime) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.free) < maxPooledPerKey {
-		p.free = append(p.free, rt)
-	}
-}
-
-// runtimeKey identifies a pool of interchangeable runtimes: two builds with
-// equal keys (under one Runner, whose remaining config fields are fixed)
-// are behaviorally identical after Reset.
+// runtimeKey identifies a trail set: everything that distinguishes one
+// runtime build from another under one Runner (whose remaining config
+// fields are fixed), with the frame count zeroed, so one key covers every
+// trace length of a workload family.
 type runtimeKey struct {
 	scheduler     string
 	numACs        int
@@ -353,9 +306,9 @@ type runtimeKey struct {
 // base.Workload, and the Runner stretches every trace it generates the same
 // way. The Bus is base-only, so equal workload knobs still give an equal
 // stretched trace, and the stretch leaves burst counts — hence forecast
-// seeds — alone; the trace memo, runtime pool and trails apply unchanged.
+// seeds — alone; the trace memo and trails apply unchanged.
 // The default ISA is resolved once here: building the H.264 Molecule
-// library per point would dwarf a pooled run's cost.
+// library per point would dwarf a run's cost.
 func NewRunner(base Config) *Runner {
 	if base.ISA == nil {
 		base.ISA = isa.H264()
@@ -364,13 +317,13 @@ func NewRunner(base Config) *Runner {
 	return &Runner{base: base, bus: bus}
 }
 
-// RuntimePoolStats reports how often a RunPoint runtime request was served
-// from the pool (hit) versus built fresh (miss). Points served entirely
-// from a checkpoint trail never request a runtime and therefore count as
-// neither; with delta-resimulation on, a repeated point is such a serve,
-// so hits come mostly from DisableDelta and histogram/timeline runs.
+// RuntimePoolStats reports 0 hits and, as misses, the number of runtimes
+// RunPoint has built: one per simulated run (a record, a resume, or any run
+// with delta-resimulation off), none for a point served from its trail. A
+// Runner keeps no runtime between runs, so nothing is ever reused; the
+// method keeps the former pool counters' shape for callers that read them.
 func (r *Runner) RuntimePoolStats() (hits, misses int64) {
-	return r.poolHits.Load(), r.poolMisses.Load()
+	return 0, r.built.Load()
 }
 
 // DeltaStats reports how RunPoint requests were satisfied by the
@@ -389,10 +342,17 @@ func (r *Runner) deltaOn(cfg *Config) bool {
 	return !cfg.DisableDelta && sim.DeltaEligible(cfg.Collect)
 }
 
-// trailSetFor returns the (lazily created) trail set of key's workload
-// family.
-func (r *Runner) trailSetFor(key runtimeKey) *trailSet {
-	key.work.knobs.Frames = 0
+// trailSetFor returns the (lazily created) trail set of the workload family
+// a run of cfg on work belongs to.
+func (r *Runner) trailSetFor(cfg *Config, work workKey) *trailSet {
+	work.knobs.Frames = 0
+	key := runtimeKey{
+		scheduler:     cfg.Scheduler,
+		numACs:        cfg.NumACs,
+		seedForecasts: cfg.SeedForecasts,
+		prefetch:      cfg.Prefetch,
+		work:          work,
+	}
 	v, ok := r.trails.Load(key)
 	if !ok {
 		v, _ = r.trails.LoadOrStore(key, new(trailSet))
@@ -405,8 +365,8 @@ func (r *Runner) trailSetFor(key runtimeKey) *trailSet {
 // from the trail of the longest shorter trace this one verifiably extends,
 // falling back to a full recording run, and store the resulting trail so
 // future requests for this point are served.
-func (r *Runner) runPointDelta(ctx context.Context, cfg *Config, key runtimeKey, ct *workload.Compiled, res *sim.Result) error {
-	ts := r.trailSetFor(key)
+func (r *Runner) runPointDelta(ctx context.Context, cfg *Config, work workKey, ct *workload.Compiled, res *sim.Result) error {
+	ts := r.trailSetFor(cfg, work)
 	best, depth := ts.deepest(ct, cfg.NumACs, cfg.Collect)
 	if best != nil && depth == len(ct.Phases) {
 		served, err := best.Serve(ct, cfg.NumACs, cfg.Collect, res)
@@ -418,7 +378,7 @@ func (r *Runner) runPointDelta(ctx context.Context, cfg *Config, key runtimeKey,
 		}
 	}
 
-	rt, pool, err := r.runtime(cfg, key, ct)
+	rt, err := r.newRuntime(cfg, ct)
 	if err != nil {
 		return err
 	}
@@ -431,7 +391,6 @@ func (r *Runner) runPointDelta(ctx context.Context, cfg *Config, key runtimeKey,
 	if !resumed {
 		err = sim.RunCompiledTrail(ctx, ct, crt, cfg.Collect, res, rec)
 	}
-	pool.put(rt)
 	if err != nil {
 		return err // rec incomplete → discarded
 	}
@@ -440,44 +399,31 @@ func (r *Runner) runPointDelta(ctx context.Context, cfg *Config, key runtimeKey,
 	} else {
 		r.deltaRecs.Add(1)
 	}
-	ts.store(key.work.knobs.Frames, rec)
+	ts.store(work.knobs.Frames, rec)
 	return nil
 }
 
-// runtime returns a runtime for cfg from key's pool, which it returns too:
-// the runtime must be handed back to it once the run completes — even a
-// failed run, since Reset restores power-on state regardless. ct is the
-// compiled trace the run executes; a runtime built on a pool miss seeds its
-// forecasts from ct.Trace rather than regenerating the workload.
-func (r *Runner) runtime(cfg *Config, key runtimeKey, ct *workload.Compiled) (sim.Runtime, *runtimePool, error) {
-	v, ok := r.runtimes.Load(key)
-	if !ok {
-		v, _ = r.runtimes.LoadOrStore(key, new(runtimePool))
-	}
-	pool := v.(*runtimePool)
-	if rt, ok := pool.get(); ok {
-		r.poolHits.Add(1)
-		return rt, pool, nil
-	}
-	r.poolMisses.Add(1)
+// newRuntime builds the runtime for one run of cfg over the compiled trace
+// ct; the run owns it and drops it when it ends. Forecast seeding reads
+// ct.Trace rather than regenerating the workload.
+func (r *Runner) newRuntime(cfg *Config, ct *workload.Compiled) (sim.Runtime, error) {
 	if cfg.Workload == nil {
-		cfg.Workload = ct.Trace // forecast seeding reads the trace
+		cfg.Workload = ct.Trace
 	}
 	rt, err := NewRuntime(*cfg)
-	if err != nil {
-		return nil, nil, err
+	if err == nil {
+		r.built.Add(1)
 	}
-	return rt, pool, nil
+	return rt, err
 }
 
 // pointConfig materializes point p over the base config and returns it with
 // the workload memo key (zeroed when the base pins a shared trace).
 // cfg.Workload is left nil for generator-driven traces: generating the
 // trace is only necessary on a compile-memo miss, and materializeWorkload
-// fills it in exactly there; a runtime-pool miss seeds from the memoized
-// compiled trace instead. The steady state — warm memo, warm pool —
-// therefore touches neither the ISA builder nor the trace generator, and a
-// cold runtime build does not regenerate the trace.
+// fills it in exactly there; a runtime build seeds its forecasts from the
+// memoized compiled trace instead. A run on a warm memo therefore touches
+// neither the ISA builder nor the trace generator.
 //
 // A point naming a scenario swaps in that scenario's ISA (the merged
 // instruction set of a multi-app scenario is a different Atom space than
@@ -494,8 +440,7 @@ func (r *Runner) pointConfig(p explore.Point, collect sim.Options) (Config, work
 	case "":
 		cfg.Scheduler = "HEF"
 	case "software":
-		// NumACs is ignored for software, so every budget shares one
-		// runtime pool and one trail.
+		// NumACs is ignored for software, so every budget shares one trail.
 		cfg.NumACs = 0
 	}
 	var key workKey
@@ -574,9 +519,9 @@ func (r *Runner) compile(cfg *Config, key workKey) (*workload.Compiled, error) {
 }
 
 // RunPoint simulates design point p into the caller-owned res (typically
-// from GetResult), collecting the artifacts selected by collect. The
-// runtime comes from the runtime pool (built fresh on a miss) and is
-// returned to it afterwards; the compiled trace comes from the memo when
+// from GetResult), collecting the artifacts selected by collect. A point
+// its own trail serves builds no runtime; any other run builds one and
+// drops it when it ends. The compiled trace comes from the memo when
 // possible. On error res holds partial state and must not be interpreted
 // (it is still safe to PutResult).
 func (r *Runner) RunPoint(ctx context.Context, p explore.Point, collect sim.Options, res *sim.Result) error {
@@ -588,23 +533,14 @@ func (r *Runner) RunPoint(ctx context.Context, p explore.Point, collect sim.Opti
 	if err != nil {
 		return err
 	}
-	rk := runtimeKey{
-		scheduler:     cfg.Scheduler,
-		numACs:        cfg.NumACs,
-		seedForecasts: cfg.SeedForecasts,
-		prefetch:      cfg.Prefetch,
-		work:          key,
-	}
 	if r.deltaOn(&cfg) {
-		return r.runPointDelta(ctx, &cfg, rk, ct, res)
+		return r.runPointDelta(ctx, &cfg, key, ct, res)
 	}
-	rt, pool, err := r.runtime(&cfg, rk, ct)
+	rt, err := r.newRuntime(&cfg, ct)
 	if err != nil {
 		return err
 	}
-	err = sim.RunCompiled(ctx, ct, rt, cfg.Collect, res)
-	pool.put(rt)
-	return err
+	return sim.RunCompiled(ctx, ct, rt, cfg.Collect, res)
 }
 
 // Explorer wires the design-space exploration engine of internal/explore to

@@ -169,7 +169,8 @@ func TestBusContentionConfig(t *testing.T) {
 	// The same points through a Runner whose base sets the Bus — a generated
 	// H.264 trace, a scenario and a pinned workload, with delta-resimulation
 	// on and off — match Run with that Bus field for field, on the first
-	// run and on the repeat a trail or the runtime pool serves.
+	// run and on the repeat (a trail serve, or a second simulation with
+	// delta-resimulation off).
 	name := scenario.Names()[0]
 	sc, _ := scenario.Find(name)
 	cases := []struct {

@@ -94,11 +94,11 @@ func TestRunnerConcurrentUseIsRaceFreeAndDeterministic(t *testing.T) {
 	}
 }
 
-// TestRuntimePoolConcurrentUseIsRaceFreeAndDeterministic hammers the
-// runtime pool of one shared Runner from many goroutines, half via RunPoint
-// and half via EngineRunSet (multi-point groups, like the engine's grouped
-// dispatch), checking every result against a sequential baseline. Run under
-// -race; cheap enough for -short.
+// TestRuntimePoolConcurrentUseIsRaceFreeAndDeterministic hammers one shared
+// Runner from many goroutines, half via RunPoint and half via EngineRunSet
+// (multi-point groups, like the engine's grouped dispatch), checking every
+// result against a sequential baseline and that every run built its own
+// runtime. Run under -race; cheap enough for -short.
 func TestRuntimePoolConcurrentUseIsRaceFreeAndDeterministic(t *testing.T) {
 	pts := racePoints()
 	// Group the points by workload knobs: one EngineRunSet call per frame
@@ -121,8 +121,8 @@ func TestRuntimePoolConcurrentUseIsRaceFreeAndDeterministic(t *testing.T) {
 	}
 
 	// Delta-resimulation would satisfy repeat points from trails without
-	// requesting runtimes; disable it so this stress keeps hammering the
-	// pool itself (TestDeltaTrailConcurrentUse covers the delta layer).
+	// building runtimes; disable it so every run of this stress simulates
+	// (TestDeltaTrailConcurrentUse covers the delta layer).
 	shared := NewRunner(Config{DisableDelta: true})
 	runSet := shared.EngineRunSet()
 	const goroutines = 8
@@ -167,7 +167,8 @@ func TestRuntimePoolConcurrentUseIsRaceFreeAndDeterministic(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if hits, misses := shared.RuntimePoolStats(); hits == 0 || misses == 0 {
-		t.Errorf("stress did not exercise the pool: hits=%d misses=%d", hits, misses)
+	runs := int64(goroutines * rounds * len(pts)) // each goroutine runs every point once a round
+	if hits, built := shared.RuntimePoolStats(); hits != 0 || built != runs {
+		t.Errorf("runtime stats: hits=%d built=%d, want 0/%d (one build per run)", hits, built, runs)
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // TestRunPointScenarioMatchesDirect: a scenario point through the Runner
-// (with its memo, pools and delta layer) is field-exact identical to a
+// (with its memo and delta layer) is field-exact identical to a
 // plain Run under the scenario's ISA and expanded trace.
 func TestRunPointScenarioMatchesDirect(t *testing.T) {
 	rn := NewRunner(Config{})
@@ -46,8 +46,8 @@ func TestRunPointScenarioMatchesDirect(t *testing.T) {
 }
 
 // TestRunPointScenarioReproducible: repeated runs of one scenario point —
-// which exercise the compile memo, runtime pool, and the delta trail
-// full-skip — stay field-exact.
+// which exercise the compile memo and the delta trail full-skip — stay
+// field-exact.
 func TestRunPointScenarioReproducible(t *testing.T) {
 	rn := NewRunner(Config{})
 	p := explore.Point{Scheduler: "HEF", NumACs: 8, Frames: 4, Seed: 1,

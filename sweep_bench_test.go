@@ -1,9 +1,10 @@
 // Benchmarks and equivalence tests of the sweep path: BenchmarkSweep drives
 // a paper-grid slice (all six run-time systems × several AC budgets) through
 // the engine with its RunSet grouping wired, one shared Runner serving every
-// point from its trail; BenchmarkSweepResim simulates the same grid on
-// pooled runtimes; BenchmarkSweepPerPoint drives it through a fresh Runner
-// per iteration without grouping, so every point pays runtime construction.
+// point from its trail; BenchmarkSweepResim simulates the same grid on every
+// iteration through one warm Runner with delta-resimulation off;
+// BenchmarkSweepPerPoint records it through a fresh Runner per iteration
+// without grouping. Every simulated point builds its own runtime.
 package rispp
 
 import (
@@ -19,8 +20,8 @@ import (
 // sweepSpec is a slice of the paper's Figure 7 grid: every run-time system
 // (four RISPP schedulers, the Molen baseline, plain software) over four
 // Atom-Container budgets on a one-frame trace. Small enough for -count=5
-// baselining, large enough that per-point construction cost dominates the
-// unpooled path.
+// baselining, large enough that 24 simulations dominate a fresh Runner's
+// one trace compile.
 func sweepSpec() explore.Spec {
 	return explore.Spec{
 		Schedulers:    append(append([]string{}, sched.Names...), "Molen", "software"),
@@ -42,12 +43,12 @@ func executeSweep(b *testing.B, eng *explore.Engine) *explore.Result {
 }
 
 // BenchmarkSweep measures the full sweep stack: one shared Runner with the
-// trace memo, the runtime pool, and delta-resimulation trails. The warmup
-// sweep records one trail per budget-axis class, so every point of the
-// timed iterations is served from a trail without simulating — the
-// steady-state cost of re-evaluating an already-explored grid. Single
-// worker, so ns/op is comparable to BenchmarkSweepPerPoint rather than a
-// measure of parallelism.
+// trace memo and delta-resimulation trails. The warmup sweep records one
+// trail per budget-axis class, so every point of the timed iterations is
+// served from a trail without simulating — the steady-state cost of
+// re-evaluating an already-explored grid. Single worker, so ns/op is
+// comparable to BenchmarkSweepPerPoint rather than a measure of
+// parallelism.
 func BenchmarkSweep(b *testing.B) {
 	rn := NewRunner(Config{})
 	eng := &explore.Engine{Workers: 1, Run: rn.EngineRun(), RunSet: rn.EngineRunSet()}
@@ -63,30 +64,24 @@ func BenchmarkSweep(b *testing.B) {
 }
 
 // BenchmarkSweepResim is BenchmarkSweep with delta-resimulation disabled:
-// every point of every iteration simulates on a pooled runtime, one point
-// after another. The gap to BenchmarkSweep is what the trail layer buys on
-// repeated grids; the gap to BenchmarkSweepPerPoint is what the runtime
-// pool buys on cold ones.
+// every point of every iteration builds a runtime and simulates from
+// power-on, one point after another, on a warm trace memo. The gap to
+// BenchmarkSweep is what the trail layer buys on repeated grids.
 func BenchmarkSweepResim(b *testing.B) {
 	rn := NewRunner(Config{DisableDelta: true})
 	eng := &explore.Engine{Workers: 1, Run: rn.EngineRun(), RunSet: rn.EngineRunSet()}
-	executeSweep(b, eng) // warm the trace memo and the runtime pool
+	executeSweep(b, eng) // warm the trace memo
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		executeSweep(b, eng)
 	}
-	b.StopTimer()
-	hits, misses := rn.RuntimePoolStats()
-	b.ReportMetric(float64(hits)/float64(hits+misses), "pool-hit-rate")
 }
 
 // BenchmarkSweepPerPoint measures the same grid without RunSet grouping and
-// with a fresh Runner per iteration, so every point pays runtime
-// construction. (Each grid point occurs once per iteration, so the fresh
-// Runner's pool never hits — exactly the pre-pool behavior; the one-frame
-// trace compile the fresh memo repays per iteration is noise against 24
-// simulations.)
+// with a fresh Runner per iteration: every point records a trail on a cold
+// Runner, the cost of a first sweep. (The one-frame trace compile the fresh
+// memo repays per iteration is noise against 24 simulations.)
 func BenchmarkSweepPerPoint(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -100,9 +95,9 @@ func BenchmarkSweepPerPoint(b *testing.B) {
 // TestSweepGroupedMatchesPerPoint pins that the engine's RunSet grouping is
 // invisible in the output: a grouped sweep must produce record-identical
 // output to the per-point path, cold and again once the Runner is warm
-// (trails recorded, runtimes pooled). The inputs cover every way a Runner
-// runs a point — delta-resimulation on and off, artifact collection that
-// bypasses the trail layer, a scenario workload with its own ISA — and the
+// (trails recorded). The inputs cover every way a Runner runs a point —
+// delta-resimulation on and off, artifact collection that bypasses the
+// trail layer, a scenario workload with its own ISA — and the
 // oracle-checked engine.
 func TestSweepGroupedMatchesPerPoint(t *testing.T) {
 	scenarioSpec := explore.Spec{
@@ -160,25 +155,5 @@ func TestSweepGroupedMatchesPerPoint(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRuntimePoolReuse pins the pool mechanics: the first run builds a
-// runtime and every identical run after it reuses that one.
-func TestRuntimePoolReuse(t *testing.T) {
-	// Delta-resimulation would serve the repeat runs without touching the
-	// pool; disable it so the pool mechanics stay observable.
-	rn := NewRunner(Config{DisableDelta: true})
-	p := explore.Point{Scheduler: "HEF", NumACs: 10, Frames: 1, SeedForecasts: true}
-	res := rn.GetResult()
-	defer rn.PutResult(res)
-	for i := 0; i < 3; i++ {
-		if err := rn.RunPoint(context.Background(), p, sim.Options{}, res); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hits, misses := rn.RuntimePoolStats()
-	if misses != 1 || hits != 2 {
-		t.Errorf("pool stats after 3 identical runs: hits=%d misses=%d, want 2/1", hits, misses)
 	}
 }
