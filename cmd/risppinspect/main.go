@@ -110,21 +110,11 @@ func dumpSchedules(is *isa.ISA, hotspot string, acs int) {
 		os.Exit(2)
 	}
 
-	// Forecast from the calibrated workload's first phase of this hot spot.
-	tr := workload.H264(workload.H264Config{Frames: 1})
-	expected := map[isa.SIID]int64{}
-	for i := range tr.Phases {
-		if tr.Phases[i].HotSpot != h {
-			continue
-		}
-		for _, b := range tr.Phases[i].Bursts {
-			expected[b.SI] += int64(b.Count)
-		}
-		break
-	}
+	// Forecast from the calibrated workload's seed table.
+	seeds := workload.H264(workload.H264Config{Frames: 1}).ForecastSeeds(is)
 	var cands []selection.Candidate
 	for _, si := range is.HotSpotSIs(h) {
-		cands = append(cands, selection.Candidate{SI: si, Expected: expected[si.ID]})
+		cands = append(cands, selection.Candidate{SI: si, Expected: seeds[si.ID]})
 	}
 	reqs := selection.Greedy(cands, acs, is.Dim())
 	fmt.Printf("hot spot %s, %d ACs — selection (NA = %d):\n", hotspot, acs,

@@ -46,8 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mgr := core.NewManager(core.Config{ISA: is, NumACs: 16, Scheduler: s})
-	mgr.SeedFromTrace(tr)
+	mgr := core.NewManager(core.Config{ISA: is, NumACs: 16, Scheduler: s, ForecastSeeds: tr.ForecastSeeds(is)})
 
 	res, err := sim.Run(tr, is, &throttler{Manager: mgr}, sim.Options{})
 	if err != nil {

@@ -19,7 +19,6 @@ import (
 	"rispp/internal/reconfig"
 	"rispp/internal/sched"
 	"rispp/internal/selection"
-	"rispp/internal/workload"
 )
 
 // Config assembles a RISPP run-time system.
@@ -32,6 +31,9 @@ type Config struct {
 	Eviction     reconfig.EvictionPolicy // Atom Container eviction policy
 	MonitorShift uint                    // forecast smoothing α = 2^-shift
 	Seed         int64                   // randomized eviction seed
+	// ForecastSeeds, when non-nil, is every SI's initial forecast by SI id
+	// (workload.Compiled.Seeds), read in place; Reset restores it.
+	ForecastSeeds []int64
 
 	// Bitstreams, when set, makes the reconfiguration port read the
 	// partial-bitstream sizes from the generated images instead of the
@@ -60,8 +62,6 @@ type Manager struct {
 	array  *reconfig.Array
 	port   *reconfig.Port
 	needed molecule.Vector // sup of the current selection, protected from eviction
-
-	seeds map[isa.SIID]int64 // initial forecasts, reapplied on Reset
 
 	// Reusable arenas: the per-hot-spot selection/scheduling pipeline runs
 	// entirely in this storage, so steady-state operation (and Reset, which
@@ -115,7 +115,7 @@ func NewManager(cfg Config) *Manager {
 	if cfg.Timing == (reconfig.Timing{}) {
 		cfg.Timing = reconfig.DefaultTiming()
 	}
-	m := &Manager{cfg: cfg, name: "RISPP/" + cfg.Scheduler.Name(), seeds: make(map[isa.SIID]int64)}
+	m := &Manager{cfg: cfg, name: "RISPP/" + cfg.Scheduler.Name()}
 	m.Reset()
 	return m
 }
@@ -123,33 +123,6 @@ func NewManager(cfg Config) *Manager {
 // Name identifies the runtime as RISPP with its scheduler, e.g.
 // "RISPP/HEF".
 func (m *Manager) Name() string { return m.name }
-
-// Seed installs an initial execution-count forecast for an SI (e.g. from a
-// design-time profiling run). Seeds survive Reset.
-func (m *Manager) Seed(si isa.SIID, expected int64) {
-	m.seeds[si] = expected
-	m.mon.Seed(si, expected)
-}
-
-// SeedFromTrace seeds the forecasts from the first occurrence of every hot
-// spot in the trace — the offline estimation flow of the paper's toolchain.
-func (m *Manager) SeedFromTrace(tr *workload.Trace) {
-	seen := make(map[isa.HotSpotID]bool)
-	for i := range tr.Phases {
-		p := &tr.Phases[i]
-		if seen[p.HotSpot] {
-			continue
-		}
-		seen[p.HotSpot] = true
-		per := make(map[isa.SIID]int64)
-		for _, b := range p.Bursts {
-			per[b.SI] += int64(b.Count)
-		}
-		for si, n := range per {
-			m.Seed(si, n)
-		}
-	}
-}
 
 // Reset returns the system to its power-on state: empty Atom Containers,
 // idle reconfiguration port, forecasts reset to the seeds. All backing
@@ -159,7 +132,7 @@ func (m *Manager) SeedFromTrace(tr *workload.Trace) {
 func (m *Manager) Reset() {
 	is := m.cfg.ISA
 	if m.mon == nil {
-		m.mon = monitor.New(is, m.cfg.MonitorShift)
+		m.mon = monitor.New(is, m.cfg.MonitorShift, m.cfg.ForecastSeeds)
 		m.array = reconfig.NewArray(m.cfg.NumACs, is.Dim(), m.cfg.Eviction, m.cfg.Seed)
 		m.port = reconfig.NewPort(is, m.cfg.Timing)
 		if repo := m.cfg.Bitstreams; repo != nil {
@@ -177,9 +150,6 @@ func (m *Manager) Reset() {
 		m.array.Reset(m.cfg.Seed)
 		m.port.Reset()
 		m.needed.Zero()
-	}
-	for si, n := range m.seeds {
-		m.mon.Seed(si, n)
 	}
 	m.started = false
 	m.prefetched = false

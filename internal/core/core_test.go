@@ -12,13 +12,23 @@ import (
 	"rispp/internal/workload"
 )
 
-func newHEF(t *testing.T, is *isa.ISA, acs int) *Manager {
+// newHEF builds an HEF Manager over acs containers, its forecasts seeded
+// from seeds (nil for none).
+func newHEF(t *testing.T, is *isa.ISA, acs int, seeds []int64) *Manager {
 	t.Helper()
 	s, err := sched.New("HEF")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewManager(Config{ISA: is, NumACs: acs, Scheduler: s})
+	return NewManager(Config{ISA: is, NumACs: acs, Scheduler: s, ForecastSeeds: seeds})
+}
+
+// meSeeds returns a seed table for is forecasting sad SAD and satd SATD
+// executions in Motion Estimation.
+func meSeeds(is *isa.ISA, sad, satd int64) []int64 {
+	seeds := make([]int64, len(is.SIs))
+	seeds[isa.SISAD], seeds[isa.SISATD] = sad, satd
+	return seeds
 }
 
 func TestNewManagerValidation(t *testing.T) {
@@ -41,7 +51,7 @@ func TestNewManagerValidation(t *testing.T) {
 }
 
 func TestManagerName(t *testing.T) {
-	m := newHEF(t, isa.H264(), 8)
+	m := newHEF(t, isa.H264(), 8, nil)
 	if m.Name() != "RISPP/HEF" {
 		t.Fatalf("Name = %q", m.Name())
 	}
@@ -49,9 +59,7 @@ func TestManagerName(t *testing.T) {
 
 func TestHotSpotEntrySchedulesAtoms(t *testing.T) {
 	is := isa.H264()
-	m := newHEF(t, is, 8)
-	m.Seed(isa.SISAD, 26000)
-	m.Seed(isa.SISATD, 6000)
+	m := newHEF(t, is, 8, meSeeds(is, 26000, 6000))
 	m.EnterHotSpot(isa.HotSpotME, 0)
 	if len(m.Requests) == 0 {
 		t.Fatal("no Molecules selected")
@@ -66,8 +74,7 @@ func TestHotSpotEntrySchedulesAtoms(t *testing.T) {
 
 func TestAtomLoadUpgradesLatency(t *testing.T) {
 	is := isa.H264()
-	m := newHEF(t, is, 8)
-	m.Seed(isa.SISAD, 26000)
+	m := newHEF(t, is, 8, meSeeds(is, 26000, 0))
 	m.EnterHotSpot(isa.HotSpotME, 0)
 	before := m.Latency(isa.SISAD)
 	at, ok := m.NextEvent()
@@ -86,15 +93,14 @@ func TestAtomLoadUpgradesLatency(t *testing.T) {
 
 func TestSeededForecastsDriveFirstSelection(t *testing.T) {
 	is := isa.H264()
-	unseeded := newHEF(t, is, 8)
+	unseeded := newHEF(t, is, 8, nil)
 	unseeded.EnterHotSpot(isa.HotSpotME, 0)
 	if len(unseeded.Requests) != 0 {
 		t.Fatalf("cold manager selected %v without forecasts", unseeded.Requests)
 	}
 
 	tr := workload.H264(workload.H264Config{Frames: 1})
-	seeded := newHEF(t, is, 8)
-	seeded.SeedFromTrace(tr)
+	seeded := newHEF(t, is, 8, tr.ForecastSeeds(is))
 	seeded.EnterHotSpot(isa.HotSpotME, 0)
 	if len(seeded.Requests) == 0 {
 		t.Fatal("seeded manager selected nothing")
@@ -105,7 +111,7 @@ func TestColdManagerLearnsAcrossFrames(t *testing.T) {
 	// Without seeds the first ME runs in software; the monitor measures it
 	// and the second ME gets hardware.
 	is := isa.H264()
-	m := newHEF(t, is, 8)
+	m := newHEF(t, is, 8, nil)
 	tr := workload.H264(workload.H264Config{Frames: 2})
 	res, err := sim.Run(tr, is, m, sim.Options{})
 	if err != nil {
@@ -122,9 +128,8 @@ func TestColdManagerLearnsAcrossFrames(t *testing.T) {
 func TestFullRunNeverExceedsCapacity(t *testing.T) {
 	is := isa.H264()
 	for _, acs := range []int{1, 3, 6, 12, 24} {
-		m := newHEF(t, is, acs)
 		tr := workload.H264(workload.H264Config{Frames: 3})
-		m.SeedFromTrace(tr)
+		m := newHEF(t, is, acs, tr.ForecastSeeds(is))
 		if _, err := sim.Run(tr, is, m, sim.Options{}); err != nil {
 			t.Fatalf("ACs=%d: %v", acs, err)
 		}
@@ -136,9 +141,8 @@ func TestFullRunNeverExceedsCapacity(t *testing.T) {
 
 func TestZeroACsRunsInSoftware(t *testing.T) {
 	is := isa.H264()
-	m := newHEF(t, is, 0)
 	tr := workload.H264(workload.H264Config{Frames: 1})
-	m.SeedFromTrace(tr)
+	m := newHEF(t, is, 0, tr.ForecastSeeds(is))
 	res, err := sim.Run(tr, is, m, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -156,8 +160,7 @@ func TestMoreACsNeverHurt(t *testing.T) {
 	tr := workload.H264(workload.H264Config{Frames: 5})
 	prev := int64(1 << 62)
 	for _, acs := range []int{0, 4, 8, 16, 32} {
-		m := newHEF(t, is, acs)
-		m.SeedFromTrace(tr)
+		m := newHEF(t, is, acs, tr.ForecastSeeds(is))
 		res, err := sim.Run(tr, is, m, sim.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -182,8 +185,7 @@ func TestUpgradesAreMonotoneWithinHotSpot(t *testing.T) {
 	is := isa.H264()
 	full := workload.H264(workload.H264Config{Frames: 1})
 	for pi := range full.Phases {
-		m := newHEF(t, is, 10)
-		m.SeedFromTrace(full)
+		m := newHEF(t, is, 10, full.ForecastSeeds(is))
 		one := &workload.Trace{Name: "phase", Phases: full.Phases[pi : pi+1]}
 		res, err := sim.Run(one, is, m, sim.Options{Timeline: true})
 		if err != nil {
@@ -205,8 +207,7 @@ func TestEvictionPoliciesAllComplete(t *testing.T) {
 	tr := workload.H264(workload.H264Config{Frames: 2})
 	for _, pol := range []reconfig.EvictionPolicy{reconfig.EvictLRU, reconfig.EvictFIFO, reconfig.EvictRandom} {
 		s, _ := sched.New("HEF")
-		m := NewManager(Config{ISA: is, NumACs: 10, Scheduler: s, Eviction: pol, Seed: 42})
-		m.SeedFromTrace(tr)
+		m := NewManager(Config{ISA: is, NumACs: 10, Scheduler: s, Eviction: pol, Seed: 42, ForecastSeeds: tr.ForecastSeeds(is)})
 		if _, err := sim.Run(tr, is, m, sim.Options{}); err != nil {
 			t.Fatalf("policy %v: %v", pol, err)
 		}
@@ -216,9 +217,8 @@ func TestEvictionPoliciesAllComplete(t *testing.T) {
 func TestExhaustiveSelectionOnMEHotSpot(t *testing.T) {
 	is := isa.H264()
 	s, _ := sched.New("HEF")
-	m := NewManager(Config{ISA: is, NumACs: 6, Scheduler: s, ExhaustiveSelection: true})
 	tr := workload.H264(workload.H264Config{Frames: 1})
-	m.SeedFromTrace(tr)
+	m := NewManager(Config{ISA: is, NumACs: 6, Scheduler: s, ExhaustiveSelection: true, ForecastSeeds: tr.ForecastSeeds(is)})
 	// Run only the ME phase: exhaustive selection over 2 SIs is cheap.
 	me := &workload.Trace{Name: "me", Phases: tr.Phases[:1]}
 	if _, err := sim.Run(me, is, m, sim.Options{}); err != nil {
@@ -231,8 +231,14 @@ func TestExhaustiveSelectionOnMEHotSpot(t *testing.T) {
 
 func TestResetRestoresSeeds(t *testing.T) {
 	is := isa.H264()
-	m := newHEF(t, is, 8)
-	m.Seed(isa.SISAD, 1234)
+	m := newHEF(t, is, 8, meSeeds(is, 1234, 0))
+	tr := workload.H264(workload.H264Config{Frames: 1})
+	if _, err := sim.Run(tr, is, m, sim.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if m.Monitor().Expected(isa.HotSpotME, isa.SISAD) == 1234 {
+		t.Fatal("the run left the seeded forecast unchanged")
+	}
 	m.Reset()
 	if got := m.Monitor().Expected(isa.HotSpotME, isa.SISAD); got != 1234 {
 		t.Fatalf("seed lost on Reset: %d", got)
@@ -247,9 +253,8 @@ func TestResetRestoresSeeds(t *testing.T) {
 
 func TestRequestsFitSup(t *testing.T) {
 	is := isa.H264()
-	m := newHEF(t, is, 9)
 	tr := workload.H264(workload.H264Config{Frames: 1})
-	m.SeedFromTrace(tr)
+	m := newHEF(t, is, 9, tr.ForecastSeeds(is))
 	m.EnterHotSpot(isa.HotSpotEE, 0)
 	sup := molecule.New(is.Dim())
 	for _, r := range m.Requests {
@@ -270,11 +275,9 @@ func TestBitstreamRepositoryTimingIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1, _ := sched.New("HEF")
-	plain := NewManager(Config{ISA: is, NumACs: 10, Scheduler: s1})
-	plain.SeedFromTrace(tr)
+	plain := NewManager(Config{ISA: is, NumACs: 10, Scheduler: s1, ForecastSeeds: tr.ForecastSeeds(is)})
 	s2, _ := sched.New("HEF")
-	withRepo := NewManager(Config{ISA: is, NumACs: 10, Scheduler: s2, Bitstreams: repo})
-	withRepo.SeedFromTrace(tr)
+	withRepo := NewManager(Config{ISA: is, NumACs: 10, Scheduler: s2, Bitstreams: repo, ForecastSeeds: tr.ForecastSeeds(is)})
 
 	a, err := sim.Run(tr, is, plain, sim.Options{})
 	if err != nil {
@@ -291,9 +294,8 @@ func TestBitstreamRepositoryTimingIdentical(t *testing.T) {
 
 func TestMonitorLearnsHotSpotRotation(t *testing.T) {
 	is := isa.H264()
-	m := newHEF(t, is, 8)
 	tr := workload.H264(workload.H264Config{Frames: 3})
-	m.SeedFromTrace(tr)
+	m := newHEF(t, is, 8, tr.ForecastSeeds(is))
 	if _, err := sim.Run(tr, is, m, sim.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -318,8 +320,7 @@ func TestPrefetchingHelpsWithSlack(t *testing.T) {
 
 	run := func(prefetch bool) (*sim.Result, *Manager) {
 		s, _ := sched.New("HEF")
-		m := NewManager(Config{ISA: is, NumACs: 40, Scheduler: s, Prefetch: prefetch})
-		m.SeedFromTrace(tr)
+		m := NewManager(Config{ISA: is, NumACs: 40, Scheduler: s, Prefetch: prefetch, ForecastSeeds: tr.ForecastSeeds(is)})
 		res, err := sim.Run(tr, is, m, sim.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -343,8 +344,7 @@ func TestPrefetchingNeverHurts(t *testing.T) {
 	for _, acs := range []int{6, 10, 14, 24} {
 		run := func(prefetch bool) int64 {
 			s, _ := sched.New("HEF")
-			m := NewManager(Config{ISA: is, NumACs: acs, Scheduler: s, Prefetch: prefetch})
-			m.SeedFromTrace(tr)
+			m := NewManager(Config{ISA: is, NumACs: acs, Scheduler: s, Prefetch: prefetch, ForecastSeeds: tr.ForecastSeeds(is)})
 			res, err := sim.Run(tr, is, m, sim.Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -361,8 +361,7 @@ func TestPrefetchingNeverHurts(t *testing.T) {
 func TestSetBudgetConstrainsSelection(t *testing.T) {
 	is := isa.H264()
 	tr := workload.H264(workload.H264Config{Frames: 1})
-	m := newHEF(t, is, 20)
-	m.SeedFromTrace(tr)
+	m := newHEF(t, is, 20, tr.ForecastSeeds(is))
 
 	m.EnterHotSpot(isa.HotSpotEE, 0)
 	fullNA := molecule.New(is.Dim())
@@ -408,8 +407,7 @@ func TestConstrainedRunStillValid(t *testing.T) {
 	// system must keep working, just slower.
 	is := isa.H264()
 	tr := workload.H264(workload.H264Config{Frames: 4})
-	m := newHEF(t, is, 16)
-	m.SeedFromTrace(tr)
+	m := newHEF(t, is, 16, tr.ForecastSeeds(is))
 
 	throttled := &budgetSchedule{Manager: m, at: 6, budget: 5}
 	res, err := sim.Run(tr, is, throttled, sim.Options{})
@@ -417,8 +415,7 @@ func TestConstrainedRunStillValid(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2 := newHEF(t, is, 16)
-	m2.SeedFromTrace(tr)
+	m2 := newHEF(t, is, 16, tr.ForecastSeeds(is))
 	full, err := sim.Run(tr, is, m2, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -450,10 +447,9 @@ func TestPrefetchWithoutPredictionIsNoop(t *testing.T) {
 	// predict; the prefetch path must stay quiet.
 	is := isa.H264()
 	s, _ := sched.New("HEF")
-	m := NewManager(Config{ISA: is, NumACs: 30, Scheduler: s, Prefetch: true})
 	full := workload.H264(workload.H264Config{Frames: 1})
+	m := NewManager(Config{ISA: is, NumACs: 30, Scheduler: s, Prefetch: true, ForecastSeeds: full.ForecastSeeds(is)})
 	me := &workload.Trace{Name: "me", Phases: full.Phases[:1]}
-	m.SeedFromTrace(full)
 	if _, err := sim.Run(me, is, m, sim.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -465,8 +461,7 @@ func TestPrefetchWithoutPredictionIsNoop(t *testing.T) {
 func TestZeroBudgetFallsBackToSoftware(t *testing.T) {
 	is := isa.H264()
 	tr := workload.H264(workload.H264Config{Frames: 1})
-	m := newHEF(t, is, 12)
-	m.SeedFromTrace(tr)
+	m := newHEF(t, is, 12, tr.ForecastSeeds(is))
 	// sim.Run resets the runtime (restoring the budget), so throttle at the
 	// first hot-spot entry instead.
 	zero := &budgetSchedule{Manager: m, at: 1, budget: 0}

@@ -52,9 +52,7 @@ func TestAdvanceDiscardsStaleLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewManager(Config{ISA: is, NumACs: 2, Scheduler: s})
-	m.Seed(0, 1_000)
-	m.Seed(1, 1_000)
+	m := NewManager(Config{ISA: is, NumACs: 2, Scheduler: s, ForecastSeeds: []int64{1_000, 1_000}})
 
 	m.EnterHotSpot(0, 0)
 	var now int64

@@ -55,8 +55,7 @@ func TestBoundsBracketSimulation(t *testing.T) {
 	for _, acs := range []int{6, 10, 16, 24} {
 		b := ForTrace(is, tr, acs, reconfig.DefaultTiming())
 		s, _ := sched.New("HEF")
-		m := core.NewManager(core.Config{ISA: is, NumACs: acs, Scheduler: s})
-		m.SeedFromTrace(tr)
+		m := core.NewManager(core.Config{ISA: is, NumACs: acs, Scheduler: s, ForecastSeeds: tr.ForecastSeeds(is)})
 		res, err := sim.Run(tr, is, m, sim.Options{})
 		if err != nil {
 			t.Fatal(err)

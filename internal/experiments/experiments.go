@@ -419,14 +419,7 @@ type OptimalGapResult struct {
 // space is too large for the exact solver) with the calibrated forecasts.
 func OptimalGap() *OptimalGapResult {
 	is := isa.H264()
-	tr := workload.H264(workload.H264Config{Frames: 1})
-	prof := map[isa.SIID]int64{}
-	for _, b := range tr.Phases[0].Bursts {
-		prof[b.SI] += int64(b.Count)
-	}
-	for _, b := range tr.Phases[2].Bursts {
-		prof[b.SI] += int64(b.Count)
-	}
+	prof := workload.H264(workload.H264Config{Frames: 1}).ForecastSeeds(is)
 	cost := func(a isa.AtomID) int64 { return int64(is.Atom(a).BitstreamBytes) }
 
 	r := &OptimalGapResult{Ratio: make(map[string]map[string]float64)}

@@ -26,7 +26,6 @@ import (
 	"rispp/internal/reconfig"
 	"rispp/internal/sched"
 	"rispp/internal/selection"
-	"rispp/internal/workload"
 )
 
 // Config assembles the baseline system.
@@ -35,6 +34,10 @@ type Config struct {
 	NumACs       int // container capacity, in Atom-sized units
 	Timing       reconfig.Timing
 	MonitorShift uint
+	// ForecastSeeds, when non-nil, is every SI's design-time estimate by SI
+	// id (workload.Compiled.Seeds: Molen fixes its reconfigurations at
+	// compile time from profiling), read in place; Reset restores it.
+	ForecastSeeds []int64
 }
 
 // unit is one monolithic SI implementation resident in (or loading into)
@@ -67,8 +70,6 @@ type Runtime struct {
 	// AtomLoads counts individual Atom-sized bitstream loads.
 	AtomLoads int
 
-	seeds map[isa.SIID]int64
-
 	// Reusable arenas for the per-hot-spot selection, recycled across calls
 	// and Resets so steady-state operation performs no allocations.
 	cands     []selection.Candidate
@@ -87,7 +88,7 @@ func New(cfg Config) *Runtime {
 	if cfg.Timing == (reconfig.Timing{}) {
 		cfg.Timing = reconfig.DefaultTiming()
 	}
-	r := &Runtime{cfg: cfg, seeds: make(map[isa.SIID]int64)}
+	r := &Runtime{cfg: cfg}
 	r.Reset()
 	return r
 }
@@ -95,38 +96,12 @@ func New(cfg Config) *Runtime {
 // Name identifies the baseline.
 func (r *Runtime) Name() string { return "Molen" }
 
-// Seed installs a design-time execution-count estimate (Molen's
-// reconfiguration decisions are fixed at compile time from profiling).
-func (r *Runtime) Seed(si isa.SIID, expected int64) {
-	r.seeds[si] = expected
-	r.mon.Seed(si, expected)
-}
-
-// SeedFromTrace seeds estimates from the first occurrence of each hot spot.
-func (r *Runtime) SeedFromTrace(tr *workload.Trace) {
-	seen := make(map[isa.HotSpotID]bool)
-	for i := range tr.Phases {
-		p := &tr.Phases[i]
-		if seen[p.HotSpot] {
-			continue
-		}
-		seen[p.HotSpot] = true
-		per := make(map[isa.SIID]int64)
-		for _, b := range p.Bursts {
-			per[b.SI] += int64(b.Count)
-		}
-		for si, n := range per {
-			r.Seed(si, n)
-		}
-	}
-}
-
 // Reset returns the fabric to power-on state. All backing storage (monitor
 // tables, unit table, queue, selection arenas) is kept and recycled, so
 // Reset followed by a run allocates nothing in the steady state.
 func (r *Runtime) Reset() {
 	if r.mon == nil {
-		r.mon = monitor.New(r.cfg.ISA, r.cfg.MonitorShift)
+		r.mon = monitor.New(r.cfg.ISA, r.cfg.MonitorShift, r.cfg.ForecastSeeds)
 		r.units = make([]unit, len(r.cfg.ISA.SIs))
 		r.protected = make([]bool, len(r.cfg.ISA.SIs))
 		r.spotSIs = make(map[isa.HotSpotID][]*isa.SI)
@@ -135,9 +110,6 @@ func (r *Runtime) Reset() {
 		for i := range r.units {
 			r.units[i] = unit{}
 		}
-	}
-	for si, n := range r.seeds {
-		r.mon.Seed(si, n)
 	}
 	r.queue = r.queue[:0]
 	r.qhead = 0

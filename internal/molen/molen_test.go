@@ -10,9 +10,8 @@ import (
 
 func seeded(t *testing.T, acs int, tr *workload.Trace) *Runtime {
 	t.Helper()
-	rt := New(Config{ISA: isa.H264(), NumACs: acs})
-	rt.SeedFromTrace(tr)
-	return rt
+	is := isa.H264()
+	return New(Config{ISA: is, NumACs: acs, ForecastSeeds: tr.ForecastSeeds(is)})
 }
 
 func TestNewValidation(t *testing.T) {
@@ -29,8 +28,7 @@ func TestNoIntermediateUpgrades(t *testing.T) {
 	// full latency of its single implementation — nothing in between.
 	is := isa.H264()
 	tr := workload.H264(workload.H264Config{Frames: 2})
-	rt := New(Config{ISA: is, NumACs: 12})
-	rt.SeedFromTrace(tr)
+	rt := New(Config{ISA: is, NumACs: 12, ForecastSeeds: tr.ForecastSeeds(is)})
 	res, err := sim.Run(tr, is, rt, sim.Options{Timeline: true})
 	if err != nil {
 		t.Fatal(err)
@@ -145,9 +143,8 @@ func TestMolenSlowerThanRISPPNeverFaster(t *testing.T) {
 func TestSelectAdditiveRespectsBudget(t *testing.T) {
 	is := isa.H264()
 	for _, acs := range []int{0, 1, 3, 7, 12, 30} {
-		rt := New(Config{ISA: is, NumACs: acs})
 		tr := workload.H264(workload.H264Config{Frames: 1})
-		rt.SeedFromTrace(tr)
+		rt := New(Config{ISA: is, NumACs: acs, ForecastSeeds: tr.ForecastSeeds(is)})
 		rt.EnterHotSpot(isa.HotSpotEE, 0)
 		total := rt.resident()
 		if total > acs {

@@ -15,8 +15,7 @@ import (
 func TestWrongSeedConvergesGeometrically(t *testing.T) {
 	is := isa.H264()
 	const actual, seeded = 26_000, 400 // forecast off by 65x
-	m := New(is, 1)
-	m.Seed(isa.SISAD, seeded)
+	m := New(is, 1, sadSeed(is, seeded))
 
 	prevErr := int64(actual - seeded)
 	for round := 0; round < 64 && prevErr > 1; round++ {
@@ -51,7 +50,7 @@ func TestColdStartBeatsWrongSeed(t *testing.T) {
 	is := isa.H264()
 	const actual = 10_000
 
-	cold := New(is, DefaultShift)
+	cold := New(is, DefaultShift, nil)
 	cold.EnterHotSpot(isa.HotSpotME)
 	cold.Record(isa.SISAD, actual)
 	cold.LeaveHotSpot()
@@ -59,8 +58,7 @@ func TestColdStartBeatsWrongSeed(t *testing.T) {
 		t.Fatalf("cold start: expectation %d after one round, want %d", got, actual)
 	}
 
-	wrong := New(is, DefaultShift)
-	wrong.Seed(isa.SISAD, 80_000)
+	wrong := New(is, DefaultShift, sadSeed(is, 80_000))
 	wrong.EnterHotSpot(isa.HotSpotME)
 	wrong.Record(isa.SISAD, actual)
 	wrong.LeaveHotSpot()
@@ -79,7 +77,7 @@ func TestColdStartBeatsWrongSeed(t *testing.T) {
 // branch models) keeps the run-time system's forecasts honest.
 func TestAlternatingWorkloadLimitCycle(t *testing.T) {
 	is := isa.H264()
-	m := New(is, 1)
+	m := New(is, 1, nil)
 	measure := func(n int64) {
 		m.EnterHotSpot(isa.HotSpotME)
 		if n > 0 {
@@ -118,8 +116,8 @@ func TestAlternatingWorkloadLimitCycle(t *testing.T) {
 // forecast misses.
 func TestForecastMissErrorAccounting(t *testing.T) {
 	is := isa.H264()
-	steady := New(is, 1)
-	jumpy := New(is, 1)
+	steady := New(is, 1, nil)
+	jumpy := New(is, 1, nil)
 	r := rand.New(rand.NewSource(9))
 	for round := 0; round < 100; round++ {
 		steady.EnterHotSpot(isa.HotSpotME)

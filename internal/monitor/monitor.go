@@ -29,6 +29,7 @@ const DefaultShift = 1
 type Monitor struct {
 	is    *isa.ISA
 	shift uint
+	seeds []int64 // initial expectation per SI, read-only; nil for none
 
 	expected   map[isa.HotSpotID][]int64 // per hot spot: expectation per SI
 	counts     []int64                   // live counters of the current hot spot
@@ -45,22 +46,32 @@ type Monitor struct {
 	Samples int
 }
 
-// New creates a monitor for the given ISA with smoothing α = 2^-shift.
-func New(is *isa.ISA, shift uint) *Monitor {
-	return &Monitor{
+// New creates a monitor for the given ISA with smoothing α = 2^-shift and
+// seeds, when non-nil, as every SI's initial expectation by SI id (from an
+// offline profiling run, e.g. workload.Compiled.Seeds; read in place). It
+// panics on a seed table of another length.
+func New(is *isa.ISA, shift uint, seeds []int64) *Monitor {
+	if seeds != nil && len(seeds) != len(is.SIs) {
+		panic(fmt.Sprintf("monitor: %d forecast seeds for %d SIs", len(seeds), len(is.SIs)))
+	}
+	m := &Monitor{
 		is:            is,
 		shift:         shift,
+		seeds:         seeds,
 		expected:      make(map[isa.HotSpotID][]int64),
 		counts:        make([]int64, len(is.SIs)),
 		ObservedSpots: make(map[isa.HotSpotID]int),
 	}
+	m.applySeeds()
+	return m
 }
 
-// Reset returns the monitor to its power-on state — no expectations, no
-// observed hot spots, no learned rotation — without freeing any backing
-// storage: expectation vectors are zeroed in place and maps are cleared, so
-// a steady-state Reset+relearn cycle over the same hot spots allocates
-// nothing. Behaviorally identical to a freshly constructed Monitor.
+// Reset returns the monitor to its power-on state — seeded expectations
+// only, no observed hot spots, no learned rotation — without freeing any
+// backing storage: expectation vectors are zeroed in place and maps are
+// cleared, so a steady-state Reset+relearn cycle over the same hot spots
+// allocates nothing. Behaviorally identical to a freshly constructed
+// Monitor.
 func (m *Monitor) Reset() {
 	for _, e := range m.expected {
 		for i := range e {
@@ -78,16 +89,17 @@ func (m *Monitor) Reset() {
 	clear(m.ObservedSpots)
 	m.AbsError = 0
 	m.Samples = 0
+	m.applySeeds()
 }
 
-// Seed initializes the expectation of an SI before its hot spot was ever
-// observed, e.g. from an offline profiling run. Without seeding, the first
-// execution of a hot spot runs with zero expectations (every SI equally
-// unimportant) and the monitor learns from there.
-func (m *Monitor) Seed(si isa.SIID, expected int64) {
-	h := m.is.SI(si).HotSpot
-	m.expected[h] = m.ensure(h)
-	m.expected[h][si] = expected
+// applySeeds installs the seeds as expectations. Unseeded (zero) SIs start
+// cold: the first execution of their hot spot adopts its measurement.
+func (m *Monitor) applySeeds() {
+	for si, n := range m.seeds {
+		if n != 0 {
+			m.ensure(m.is.SIs[si].HotSpot)[si] = n
+		}
+	}
 }
 
 func (m *Monitor) ensure(h isa.HotSpotID) []int64 {

@@ -1,14 +1,61 @@
 package monitor
 
 import (
+	"slices"
 	"testing"
 
 	"rispp/internal/isa"
 )
 
+// sadSeed returns a seed table for is that forecasts n SAD executions and
+// leaves every other SI unseeded.
+func sadSeed(is *isa.ISA, n int64) []int64 {
+	seeds := make([]int64, len(is.SIs))
+	seeds[isa.SISAD] = n
+	return seeds
+}
+
+// TestResetReappliesSeeds: Reset returns to the seeded expectations, not
+// to zero, and neither a run nor a Reset writes the shared seed table.
+func TestResetReappliesSeeds(t *testing.T) {
+	is := isa.H264()
+	seeds := sadSeed(is, 1234)
+	m := New(is, 1, seeds)
+	for i := 0; i < 3; i++ {
+		if got := m.Expected(isa.HotSpotME, isa.SISAD); got != 1234 {
+			t.Fatalf("pass %d: seeded expectation %d, want 1234", i, got)
+		}
+		m.EnterHotSpot(isa.HotSpotME)
+		m.Record(isa.SISAD, 9000)
+		m.Record(isa.SISATD, 50)
+		m.LeaveHotSpot()
+		if got := m.Expected(isa.HotSpotME, isa.SISAD); got == 1234 {
+			t.Fatalf("pass %d: the monitor did not learn", i)
+		}
+		m.Reset()
+		if got := m.Expected(isa.HotSpotME, isa.SISATD); got != 0 {
+			t.Fatalf("pass %d: unseeded SATD expectation %d after Reset, want 0", i, got)
+		}
+	}
+	if want := sadSeed(is, 1234); !slices.Equal(seeds, want) {
+		t.Fatalf("seed table written: %v, want %v", seeds, want)
+	}
+}
+
+// TestNewRejectsMisSizedSeeds: a seed table must hold one entry per SI.
+func TestNewRejectsMisSizedSeeds(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a seed table shorter than the ISA")
+		}
+	}()
+	is := isa.H264()
+	New(is, 1, make([]int64, len(is.SIs)-1))
+}
+
 func TestColdStartAdoptsFirstMeasurement(t *testing.T) {
 	is := isa.H264()
-	m := New(is, DefaultShift)
+	m := New(is, DefaultShift, nil)
 	m.EnterHotSpot(isa.HotSpotME)
 	m.Record(isa.SISAD, 26000)
 	m.Record(isa.SISATD, 6000)
@@ -23,8 +70,7 @@ func TestColdStartAdoptsFirstMeasurement(t *testing.T) {
 
 func TestSmoothingUpdate(t *testing.T) {
 	is := isa.H264()
-	m := New(is, 1) // α = 0.5
-	m.Seed(isa.SISAD, 1000)
+	m := New(is, 1, sadSeed(is, 1000)) // α = 0.5
 	m.EnterHotSpot(isa.HotSpotME)
 	m.Record(isa.SISAD, 2000)
 	m.LeaveHotSpot()
@@ -36,8 +82,7 @@ func TestSmoothingUpdate(t *testing.T) {
 
 func TestSmoothingConvergesToSteadyState(t *testing.T) {
 	is := isa.H264()
-	m := New(is, 2) // α = 0.25
-	m.Seed(isa.SISAD, 0)
+	m := New(is, 2, sadSeed(is, 0)) // α = 0.25
 	for i := 0; i < 64; i++ {
 		m.EnterHotSpot(isa.HotSpotME)
 		m.Record(isa.SISAD, 4096)
@@ -51,8 +96,7 @@ func TestSmoothingConvergesToSteadyState(t *testing.T) {
 
 func TestExpectationDecaysToZero(t *testing.T) {
 	is := isa.H264()
-	m := New(is, 1)
-	m.Seed(isa.SISAD, 100)
+	m := New(is, 1, sadSeed(is, 100))
 	for i := 0; i < 32; i++ {
 		m.EnterHotSpot(isa.HotSpotME)
 		m.LeaveHotSpot() // zero executions measured
@@ -64,7 +108,7 @@ func TestExpectationDecaysToZero(t *testing.T) {
 
 func TestHotSpotsAreIndependent(t *testing.T) {
 	is := isa.H264()
-	m := New(is, 1)
+	m := New(is, 1, nil)
 	m.EnterHotSpot(isa.HotSpotME)
 	m.Record(isa.SISAD, 500)
 	m.LeaveHotSpot()
@@ -81,7 +125,7 @@ func TestHotSpotsAreIndependent(t *testing.T) {
 
 func TestEnterFinalizesPrevious(t *testing.T) {
 	is := isa.H264()
-	m := New(is, 1)
+	m := New(is, 1, nil)
 	m.EnterHotSpot(isa.HotSpotME)
 	m.Record(isa.SISAD, 100)
 	m.EnterHotSpot(isa.HotSpotEE) // implicit LeaveHotSpot
@@ -100,11 +144,11 @@ func TestRecordOutsideHotSpotPanics(t *testing.T) {
 			t.Fatal("Record outside hot spot did not panic")
 		}
 	}()
-	New(isa.H264(), 1).Record(isa.SISAD, 1)
+	New(isa.H264(), 1, nil).Record(isa.SISAD, 1)
 }
 
 func TestLeaveWithoutEnterIsNoop(t *testing.T) {
-	m := New(isa.H264(), 1)
+	m := New(isa.H264(), 1, nil)
 	m.LeaveHotSpot() // must not panic
 	if len(m.ObservedSpots) != 0 {
 		t.Fatal("LeaveHotSpot without Enter counted a spot")
@@ -113,7 +157,7 @@ func TestLeaveWithoutEnterIsNoop(t *testing.T) {
 
 func TestForecastOmitsZeroSIs(t *testing.T) {
 	is := isa.H264()
-	m := New(is, 1)
+	m := New(is, 1, nil)
 	m.EnterHotSpot(isa.HotSpotEE)
 	m.Record(isa.SIMC, 42)
 	m.LeaveHotSpot()
@@ -130,15 +174,14 @@ func TestForecastOmitsZeroSIs(t *testing.T) {
 
 func TestMeanAbsError(t *testing.T) {
 	is := isa.H264()
-	m := New(is, 1)
-	m.Seed(isa.SISAD, 100)
+	m := New(is, 1, sadSeed(is, 100))
 	m.EnterHotSpot(isa.HotSpotME)
 	m.Record(isa.SISAD, 160)
 	m.LeaveHotSpot()
 	if got := m.MeanAbsError(); got != 60 {
 		t.Fatalf("MeanAbsError = %v, want 60", got)
 	}
-	if New(is, 1).MeanAbsError() != 0 {
+	if New(is, 1, nil).MeanAbsError() != 0 {
 		t.Fatal("MeanAbsError on fresh monitor != 0")
 	}
 }
@@ -148,7 +191,7 @@ func TestTrackingChangingWorkload(t *testing.T) {
 	// Block depends on the motion in the input sequence. Simulate a scene
 	// change and check the forecast follows within a few frames.
 	is := isa.H264()
-	m := New(is, 1)
+	m := New(is, 1, nil)
 	for i := 0; i < 10; i++ {
 		m.EnterHotSpot(isa.HotSpotME)
 		m.Record(isa.SISATD, 2000)
@@ -166,7 +209,7 @@ func TestTrackingChangingWorkload(t *testing.T) {
 }
 
 func TestStringer(t *testing.T) {
-	s := New(isa.H264(), 1).String()
+	s := New(isa.H264(), 1, nil).String()
 	if s == "" {
 		t.Fatal("String empty")
 	}
@@ -174,7 +217,7 @@ func TestStringer(t *testing.T) {
 
 func TestSuccessorPrediction(t *testing.T) {
 	is := isa.H264()
-	m := New(is, 1)
+	m := New(is, 1, nil)
 	if _, ok := m.PredictNext(isa.HotSpotME); ok {
 		t.Fatal("prediction without observations")
 	}
@@ -196,7 +239,7 @@ func TestSuccessorPrediction(t *testing.T) {
 
 func TestSuccessorPredictionTieBreaksDeterministically(t *testing.T) {
 	is := isa.H264()
-	m := New(is, 1)
+	m := New(is, 1, nil)
 	m.RecordTransition(isa.HotSpotME, isa.HotSpotLF)
 	m.RecordTransition(isa.HotSpotME, isa.HotSpotEE)
 	next, ok := m.PredictNext(isa.HotSpotME)

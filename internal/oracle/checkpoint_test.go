@@ -96,11 +96,14 @@ func TestCheckpointEquivalenceGeneratedCorpus(t *testing.T) {
 // and the full trace is resumed from it onto a dirtied runtime seeded from
 // the full trace. At the recorded budget the resume must be field-exact
 // against a fresh run of the full trace, journal bytes included; the
-// neighbouring budgets must be refused. Draws in which a hot spot first
-// appears after k must be refused too — their forecast seeds differ. Every
-// refused run falls back to a recording run, which must be exact as well.
+// neighbouring budgets must be refused. Draws whose cut and full traces
+// seed differently (by the reference tally) must be refused too: a hot
+// spot first appears after k with executions in its first phase. One that
+// first appears after k with none seeds nothing and extends; the corpus
+// must reach such draws. Every refused run falls back to a recording run,
+// which must be exact as well.
 func TestCheckpointExtensionGeneratedCorpus(t *testing.T) {
-	extended, refused := 0, 0
+	extended, refused, lateSpots := 0, 0, 0
 	for seed := int64(0); seed < checkpointSeeds; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		is := oracle.GenHardware(r)
@@ -118,6 +121,10 @@ func TestCheckpointExtensionGeneratedCorpus(t *testing.T) {
 		newSpot := false
 		for _, p := range tr.Phases[k:] {
 			newSpot = newSpot || !seen[p.HotSpot]
+		}
+		seedsDiffer := !sameTally(seedTally(cut), seedTally(tr))
+		if newSpot && !seedsDiffer {
+			lateSpots++
 		}
 		ctCut, err := workload.Compile(cut, is)
 		if err != nil {
@@ -170,9 +177,9 @@ func TestCheckpointExtensionGeneratedCorpus(t *testing.T) {
 				switch {
 				case used && b != at:
 					t.Fatalf("%s: extended a trail recorded at another budget", label())
-				case newSpot && used:
-					t.Fatalf("%s: extended although a hot spot first appears after the prefix", label())
-				case !newSpot && b == at && !used:
+				case seedsDiffer && used:
+					t.Fatalf("%s: extended although the cut and full traces seed differently", label())
+				case !seedsDiffer && b == at && !used:
 					t.Fatalf("%s: refused a verified extension at the recorded budget", label())
 				}
 				if used {
@@ -207,7 +214,11 @@ func TestCheckpointExtensionGeneratedCorpus(t *testing.T) {
 	if extended == 0 || refused == 0 {
 		t.Errorf("corpus exercised %d extensions and %d refusals; want both", extended, refused)
 	}
-	t.Logf("%d extended resumes, %d refusals with exact fallback runs", extended, refused)
+	if lateSpots == 0 {
+		t.Error("no draw extends past a hot spot whose first phase runs after the cut with no executions")
+	}
+	t.Logf("%d extended resumes, %d refusals with exact fallback runs; %d draws extend past a hot spot first running after the cut",
+		extended, refused, lateSpots)
 }
 
 // TestScheduleValidGeneratedCorpus checks every scheduling strategy on the

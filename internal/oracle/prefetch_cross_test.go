@@ -25,11 +25,8 @@ func crossCheckManager(is *isa.ISA, tr *workload.Trace, cfg core.Config) (m *cor
 			err = fmt.Errorf("panic: %v", p)
 		}
 	}()
-	twin := func() *core.Manager {
-		m := core.NewManager(cfg)
-		m.SeedFromTrace(tr)
-		return m
-	}
+	cfg.ForecastSeeds = tr.ForecastSeeds(is)
+	twin := func() *core.Manager { return core.NewManager(cfg) }
 	want, err := oracle.Run(tr, is, twin(), allArtifacts(50_000))
 	if err != nil {
 		return nil, err

@@ -17,26 +17,23 @@ var Systems = []string{"FSFR", "ASF", "SJF", "HEF", "Molen", "software"}
 
 // NewSystem builds a fresh run-time system for one of Systems with the
 // paper-default calibration (default reconfiguration timing, LRU eviction,
-// greedy Molecule selection) and the design-time forecast seeding of the
-// toolchain (SeedFromTrace) — the same construction rispp.NewRuntime
-// performs for a Config with SeedForecasts set. Each call returns an
-// independent instance, so the oracle and the simulator can drive twins of
-// the same system through the same trace.
+// greedy Molecule selection) and forecasts seeded from tr's seed table
+// (workload.Trace.ForecastSeeds, the design-time estimation of the
+// toolchain) — the same construction rispp.NewRuntime performs for a Config
+// with SeedForecasts set. Each call returns an independent instance, so the
+// oracle and the simulator can drive twins of the same system through the
+// same trace.
 func NewSystem(name string, is *isa.ISA, numACs int, tr *workload.Trace) (Runtime, error) {
 	switch name {
 	case "software":
 		return Software(is), nil
 	case "Molen", "molen":
-		rt := molen.New(molen.Config{ISA: is, NumACs: numACs})
-		rt.SeedFromTrace(tr)
-		return rt, nil
+		return molen.New(molen.Config{ISA: is, NumACs: numACs, ForecastSeeds: tr.ForecastSeeds(is)}), nil
 	default:
 		s, err := sched.New(name)
 		if err != nil {
 			return nil, fmt.Errorf("oracle: %w", err)
 		}
-		m := core.NewManager(core.Config{ISA: is, NumACs: numACs, Scheduler: s})
-		m.SeedFromTrace(tr)
-		return m, nil
+		return core.NewManager(core.Config{ISA: is, NumACs: numACs, Scheduler: s, ForecastSeeds: tr.ForecastSeeds(is)}), nil
 	}
 }

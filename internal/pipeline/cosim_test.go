@@ -17,8 +17,8 @@ import (
 func TestCoSimulationUpgradesMidLoop(t *testing.T) {
 	is := isa.H264()
 	s, _ := sched.New("HEF")
-	mgr := core.NewManager(core.Config{ISA: is, NumACs: 8, Scheduler: s})
-	mgr.SeedFromTrace(workload.H264(workload.H264Config{Frames: 1}))
+	tr := workload.H264(workload.H264Config{Frames: 1})
+	mgr := core.NewManager(core.Config{ISA: is, NumACs: 8, Scheduler: s, ForecastSeeds: tr.ForecastSeeds(is)})
 	mgr.EnterHotSpot(isa.HotSpotME, 0)
 
 	// 400 SAD invocations with glue, as the ME loop issues them.

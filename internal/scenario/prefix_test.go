@@ -21,12 +21,12 @@ var prefixDraws = []struct {
 // compiled Trace(F2) extends Trace(F1) ('y') or is refused ('n') by
 // workload.Compiled.Extends — the check delta-resimulation applies before
 // resuming a longer trace from a shorter trace's trail. Every shipped
-// expansion is phase-prefix-stable; the refusals are the seeding rule: a
-// hot spot that first appears after the prefix would change the forecast
-// seeds (early-exit-me skipping every Encoding Engine phase of the first
-// iterations, video-crypto-audio's random walk reaching the crypto stack
-// only after the prefix). The table is published in ARCHITECTURE.md
-// ("Delta-resimulation checkpoints").
+// expansion is phase-prefix-stable; the refusals are the seeding rule: the
+// two traces' seed tables differ, because a hot spot first runs after the
+// prefix with executions in its first phase (early-exit-me skipping every
+// Encoding Engine phase of the first iterations, video-crypto-audio's
+// random walk reaching the crypto stack only after the prefix). The table
+// is published in ARCHITECTURE.md ("Delta-resimulation checkpoints").
 var pinnedExtends = map[string]string{
 	"branchy-modes":      "yyyyyyyy",
 	"early-exit-me":      "yyyynnyy",

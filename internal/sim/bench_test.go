@@ -31,9 +31,7 @@ func compiledFrame(b testing.TB, frames int) (*isa.ISA, *workload.Compiled) {
 
 func hefManager(is *isa.ISA, ct *workload.Compiled) *core.Manager {
 	s, _ := sched.New("HEF")
-	m := core.NewManager(core.Config{ISA: is, NumACs: 10, Scheduler: s})
-	m.SeedFromTrace(ct.Trace)
-	return m
+	return core.NewManager(core.Config{ISA: is, NumACs: 10, Scheduler: s, ForecastSeeds: ct.Seeds})
 }
 
 // BenchmarkRun measures the steady-state run path: a compiled one-frame
@@ -140,12 +138,10 @@ func allRuntimes(tb testing.TB, is *isa.ISA, ct *workload.Compiled) []namedRunti
 		if err != nil {
 			tb.Fatal(err)
 		}
-		m := core.NewManager(core.Config{ISA: is, NumACs: 10, Scheduler: s})
-		m.SeedFromTrace(ct.Trace)
+		m := core.NewManager(core.Config{ISA: is, NumACs: 10, Scheduler: s, ForecastSeeds: ct.Seeds})
 		out = append(out, namedRuntime{name, m})
 	}
-	mo := molen.New(molen.Config{ISA: is, NumACs: 10})
-	mo.SeedFromTrace(ct.Trace)
+	mo := molen.New(molen.Config{ISA: is, NumACs: 10, ForecastSeeds: ct.Seeds})
 	out = append(out, namedRuntime{"Molen", mo})
 	out = append(out, namedRuntime{"software", sim.Software(is)})
 	return out

@@ -56,8 +56,7 @@ func TestRuntimeCalledPerEvent(t *testing.T) {
 		bursts += len(p.Bursts)
 		maxSpot = max(maxSpot, len(p.Spot))
 	}
-	mo := molen.New(molen.Config{ISA: is, NumACs: 10})
-	mo.SeedFromTrace(ct.Trace)
+	mo := molen.New(molen.Config{ISA: is, NumACs: 10, ForecastSeeds: ct.Seeds})
 	for _, nr := range []namedRuntime{{"HEF", hefManager(is, ct)}, {"Molen", mo}} {
 		t.Run(nr.name, func(t *testing.T) {
 			var want, got sim.Result

@@ -10,10 +10,9 @@
 //     journal bytes) from the trail alone, without a runtime;
 //   - a longer trace that verifiably begins with the recorded one
 //     (workload.Compiled.Extends — equal phases, bursts and hot-spot sets,
-//     and no hot spot first appearing after the prefix, so forecast seeds
-//     agree): the recorded run's final state is exactly the longer run's
-//     state at that boundary, so ResumeCompiled restores it and simulates
-//     only the added phases.
+//     and equal forecast seed tables): the recorded run's final state is
+//     exactly the longer run's state at that boundary, so ResumeCompiled
+//     restores it and simulates only the added phases.
 //
 // Everything else is refused, never guessed: another budget, a same-length
 // trace that is not the recorded object, and any shorter trace (no
@@ -40,12 +39,12 @@ import (
 //
 // Restore contract: a state saved by one runtime may be restored into
 // another only when both were built from the same configuration — container
-// budget included — and their forecasts were seeded from traces that seed
-// identically. The simulator checks the budget and the trace side itself
-// (a trail serves its own budget only, and ResumeCompiled accepts the
-// recorded trace or a verified extension of it); the rest — same ISA,
-// scheduler, policies and seeding mode — is the caller's, which is why
-// callers key trails by exactly those knobs.
+// budget included — and their forecasts were seeded from equal seed tables
+// (workload.Compiled.Seeds). The simulator checks the budget and the trace
+// side itself (a trail serves its own budget only, and ResumeCompiled
+// accepts the recorded trace or a verified extension of it); the rest —
+// same ISA, scheduler, policies and seeding mode — is the caller's, which
+// is why callers key trails by exactly those knobs.
 type Checkpointable interface {
 	Runtime
 	// ContainerBudget returns the container budget of this runtime, the

@@ -16,9 +16,7 @@ import (
 
 func hefManagerAt(is *isa.ISA, ct *workload.Compiled, acs int) *core.Manager {
 	s, _ := sched.New("HEF")
-	m := core.NewManager(core.Config{ISA: is, NumACs: acs, Scheduler: s})
-	m.SeedFromTrace(ct.Trace)
-	return m
+	return core.NewManager(core.Config{ISA: is, NumACs: acs, Scheduler: s, ForecastSeeds: ct.Seeds})
 }
 
 // BenchmarkRunCheckpointRecord is BenchmarkRunHEF with trail recording:

@@ -25,17 +25,13 @@ func checkpointRuntime(t testing.TB, system string, is *isa.ISA, tr *workload.Tr
 	case "software":
 		return sim.Software(is).(sim.Checkpointable)
 	case "Molen":
-		r := molen.New(molen.Config{ISA: is, NumACs: numACs})
-		r.SeedFromTrace(tr)
-		return r
+		return molen.New(molen.Config{ISA: is, NumACs: numACs, ForecastSeeds: tr.ForecastSeeds(is)})
 	default:
 		s, err := sched.New(system)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := core.NewManager(core.Config{ISA: is, NumACs: numACs, Scheduler: s})
-		m.SeedFromTrace(tr)
-		return m
+		return core.NewManager(core.Config{ISA: is, NumACs: numACs, Scheduler: s, ForecastSeeds: tr.ForecastSeeds(is)})
 	}
 }
 

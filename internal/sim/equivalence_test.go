@@ -176,17 +176,13 @@ func TestCompiledTraceEquivalence(t *testing.T) {
 				case "software":
 					return sim.Software(is)
 				case "Molen":
-					r := molen.New(molen.Config{ISA: is, NumACs: 10})
-					r.SeedFromTrace(tr)
-					return r
+					return molen.New(molen.Config{ISA: is, NumACs: 10, ForecastSeeds: tr.ForecastSeeds(is)})
 				default:
 					s, err := sched.New(system)
 					if err != nil {
 						t.Fatal(err)
 					}
-					m := core.NewManager(core.Config{ISA: is, NumACs: 10, Scheduler: s})
-					m.SeedFromTrace(tr)
-					return m
+					return core.NewManager(core.Config{ISA: is, NumACs: 10, Scheduler: s, ForecastSeeds: tr.ForecastSeeds(is)})
 				}
 			}
 			for _, run := range runs {

@@ -36,14 +36,15 @@ type CompiledPhase struct {
 // resolved once per SI into dense tables, the hot-spot SI sets are computed
 // once per hot spot instead of once per phase, and every full block of
 // BlockLen bursts carries a summary (glue cycles and per-SI executions) the
-// simulator steps over in O(hot-spot SIs). The summaries of all phases are
-// carved from one allocation. A Compiled trace is immutable and safe for
-// concurrent simulation runs — provided its source trace is never modified
-// after Compile, since the compiled phases alias the source's bursts and
-// the summaries are derived from them.
+// simulator steps over in O(hot-spot SIs). The summaries of all phases and
+// the forecast seed table are carved from one allocation. A Compiled trace
+// is immutable and safe for concurrent simulation runs — provided its
+// source trace is never modified after Compile, since the compiled phases
+// alias the source's bursts and the summaries and seeds are derived from
+// them.
 type Compiled struct {
 	// Trace is the source trace: its bursts back the compiled phases, and
-	// forecast seeding and the oracle read it directly.
+	// the oracle reads it directly.
 	Trace *Trace
 	// NumSIs is len(is.SIs) of the ISA the trace was compiled against; it
 	// sizes the simulator's dense per-SI accounting.
@@ -55,7 +56,11 @@ type Compiled struct {
 	// which stall cycles are accounted. Both tables are indexed by SI id and
 	// share one backing array.
 	FastestLatency []int
-	Phases         []CompiledPhase
+	// Seeds[si] is SI si's design-time forecast seed (Trace.ForecastSeeds):
+	// its executions in the first phase of its hot spot. Runtimes built for
+	// seeded forecasts read it in place.
+	Seeds  []int64
+	Phases []CompiledPhase
 
 	// prefixes memoizes Extends per shorter trace (*Compiled → bool), so
 	// the memo lives and dies with the traces it relates.
@@ -65,10 +70,11 @@ type Compiled struct {
 // Extends reports whether c strictly extends prefix: prefix is shorter, was
 // compiled for the same SI count and per-SI latency tables, and every one
 // of its phases equals c's phase at the same index — hot spot, setup,
-// bursts, and hot-spot SI set. No hot spot may first appear in c after the
-// prefix either, so forecasts seeded from the first occurrence of each hot
-// spot (SeedFromTrace, the design-time estimation flow) are identical for
-// both traces. A run of c therefore passes through exactly the states a run
+// bursts, and hot-spot SI set. Both traces must also have equal seed
+// tables, so runs seeding their forecasts from them (the design-time
+// estimation flow) start from the same forecasts: a hot spot that first
+// appears in c after the prefix may do so only with no executions in its
+// first phase. A run of c therefore passes through exactly the states a run
 // of prefix passes through, phase boundary by phase boundary.
 //
 // The answer is memoized on c per prefix: a pair pays one phase-by-phase
@@ -88,20 +94,14 @@ func (c *Compiled) Extends(prefix *Compiled) bool {
 
 func (c *Compiled) extends(prefix *Compiled) bool {
 	if prefix.NumSIs != c.NumSIs || !slices.Equal(prefix.SWLatency, c.SWLatency) ||
-		!slices.Equal(prefix.FastestLatency, c.FastestLatency) {
+		!slices.Equal(prefix.FastestLatency, c.FastestLatency) ||
+		!slices.Equal(prefix.Seeds, c.Seeds) {
 		return false
 	}
-	seen := make(map[isa.HotSpotID]bool)
 	for i := range prefix.Phases {
 		p, q := &prefix.Phases[i], &c.Phases[i]
 		if p.HotSpot != q.HotSpot || p.Setup != q.Setup ||
 			!slices.Equal(p.Bursts, q.Bursts) || !slices.Equal(p.Spot, q.Spot) {
-			return false
-		}
-		seen[p.HotSpot] = true
-	}
-	for i := len(prefix.Phases); i < len(c.Phases); i++ {
-		if !seen[c.Phases[i].HotSpot] {
 			return false
 		}
 	}
@@ -170,7 +170,10 @@ func Compile(tr *Trace, is *isa.ISA) (*Compiled, error) {
 		})
 		nSums += len(p.Bursts) / BlockLen * (1 + len(spot))
 	}
-	sums := make([]int64, nSums)
+	// The seed table and the block summaries share one allocation.
+	sums := make([]int64, n+nSums)
+	ct.Seeds, sums = sums[:n:n], sums[n:]
+	tr.seedsInto(ct.Seeds)
 	for i := range ct.Phases {
 		p := &ct.Phases[i]
 		n := len(p.Bursts) / BlockLen * (1 + len(p.Spot))

@@ -3,6 +3,7 @@ package workload
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rispp/internal/isa"
@@ -92,8 +93,9 @@ func TestExtendsRefusals(t *testing.T) {
 		t.Error("a different seed's trace accepted as an extension")
 	}
 
-	// Same phases, but a hot spot first appears after the prefix: forecast
-	// seeds would differ, so the pair is refused.
+	// Same phases, but a hot spot first appears after the prefix with
+	// executions in its first phase: the seed tables differ, so the pair is
+	// refused.
 	b := NewBuilder("grow").Phase(isa.HotSpotME, 10).Burst(isa.SISAD, 5, 1)
 	short := compile(b.Build())
 	b.Phase(isa.HotSpotME, 10).Burst(isa.SISAD, 5, 1)
@@ -104,10 +106,30 @@ func TestExtendsRefusals(t *testing.T) {
 		t.Error("extension over already-seen hot spots refused")
 	}
 	if newSpot.Extends(short) {
-		t.Error("extension introducing a new hot spot accepted")
+		t.Error("extension introducing a new hot spot with executions accepted")
 	}
 	if newSpot.Extends(sameSpots) {
-		t.Error("extension introducing a new hot spot accepted over a longer prefix")
+		t.Error("extension introducing a new hot spot with executions accepted over a longer prefix")
+	}
+
+	// A hot spot whose first phase after the prefix is empty, or runs only
+	// zero-count bursts, seeds nothing: the seed tables stay equal and the
+	// pair is accepted, even when the hot spot executes in a later phase.
+	late := func(first ...Burst) *Compiled {
+		b := NewBuilder("late").Phase(isa.HotSpotME, 10).Burst(isa.SISAD, 5, 1).Phase(isa.HotSpotLF, 10)
+		for _, x := range first {
+			b.Burst(x.SI, x.Count, x.Gap)
+		}
+		return compile(b.Phase(isa.HotSpotLF, 10).Burst(isa.SILFBS4, 3, 1).Build())
+	}
+	if empty := late(); !empty.Extends(short) || !slices.Equal(empty.Seeds, short.Seeds) {
+		t.Errorf("extension past an empty first phase refused (seeds %v vs %v)", empty.Seeds, short.Seeds)
+	}
+	if zero := late(Burst{SI: isa.SILFBS4, Count: 0, Gap: 7}); !zero.Extends(short) {
+		t.Error("extension past a first phase of zero-count bursts refused")
+	}
+	if one := late(Burst{SI: isa.SILFBS4, Count: 1, Gap: 7}); one.Extends(short) {
+		t.Error("extension past a first phase with one execution accepted")
 	}
 
 	// A differing burst anywhere inside the prefix is refused.

@@ -84,6 +84,33 @@ func (t *Trace) SoftwareCycles(is *isa.ISA) int64 {
 	return c
 }
 
+// ForecastSeeds returns the design-time forecast seed of every SI of is by
+// SI id — its executions in the first phase of its hot spot — from which
+// seeded forecasts start (the offline estimation of the paper's toolchain;
+// Compile derives the same Compiled.Seeds). t must be valid for is.
+func (t *Trace) ForecastSeeds(is *isa.ISA) []int64 {
+	seeds := make([]int64, len(is.SIs))
+	t.seedsInto(seeds)
+	return seeds
+}
+
+// seedsInto adds each SI's seed to seeds[si]; the few hot spots a trace
+// visits are tracked on the stack.
+func (t *Trace) seedsInto(seeds []int64) {
+	var buf [16]isa.HotSpotID
+	seen := buf[:0]
+	for i := range t.Phases {
+		p := &t.Phases[i]
+		if slices.Contains(seen, p.HotSpot) {
+			continue
+		}
+		seen = append(seen, p.HotSpot)
+		for _, b := range p.Bursts {
+			seeds[b.SI] += int64(b.Count)
+		}
+	}
+}
+
 // Validate checks the trace against an ISA: every referenced SI exists and
 // belongs to the phase's hot spot, and all counts are sane.
 func (t *Trace) Validate(is *isa.ISA) error {

@@ -61,7 +61,8 @@ type Config struct {
 	NumACs int
 
 	// SeedForecasts, when true, seeds the execution-count forecasts from
-	// the first occurrence of each hot spot in the trace — the design-time
+	// the trace's seed table (workload.Trace.ForecastSeeds: each SI's
+	// executions in the first phase of its hot spot) — the design-time
 	// estimation of the paper's toolchain. Almost always desirable.
 	SeedForecasts bool
 	// Eviction selects the Atom Container eviction policy (RISPP only).
@@ -95,11 +96,13 @@ type Config struct {
 	DisableDelta bool
 }
 
-func (c *Config) setDefaults() {
+// setDefaults resolves the default ISA, scheduler and, when trace is set,
+// workload (the 140-frame encode, ~12 MB), then applies the Bus.
+func (c *Config) setDefaults(trace bool) {
 	if c.ISA == nil {
 		c.ISA = isa.H264()
 	}
-	if c.Workload == nil {
+	if c.Workload == nil && trace {
 		c.Workload = workload.H264(workload.H264Config{})
 	}
 	if c.Scheduler == "" {
@@ -128,42 +131,50 @@ func (c *Config) applyBus() *membus.Config {
 }
 
 // NewRuntime builds the runtime described by the config without running it;
-// useful for custom simulation loops.
+// useful for custom simulation loops. It reads the workload only to seed
+// the forecasts, and generates the default one only then.
 func NewRuntime(cfg Config) (sim.Runtime, error) {
-	cfg.setDefaults()
+	cfg.setDefaults(cfg.SeedForecasts)
+	var seeds []int64
+	if cfg.SeedForecasts {
+		seeds = cfg.Workload.ForecastSeeds(cfg.ISA)
+	}
+	return newRuntime(&cfg, seeds)
+}
+
+// newRuntime builds the runtime cfg describes, its forecasts seeded from
+// seeds when cfg.SeedForecasts is set. cfg has its defaults resolved.
+func newRuntime(cfg *Config, seeds []int64) (sim.Runtime, error) {
+	if !cfg.SeedForecasts {
+		seeds = nil
+	}
 	switch cfg.Scheduler {
 	case "software":
 		return sim.Software(cfg.ISA), nil
 	case "Molen", "molen":
-		rt := molen.New(molen.Config{
-			ISA:          cfg.ISA,
-			NumACs:       cfg.NumACs,
-			Timing:       cfg.Timing,
-			MonitorShift: cfg.MonitorShift,
-		})
-		if cfg.SeedForecasts {
-			rt.SeedFromTrace(cfg.Workload)
-		}
-		return rt, nil
+		return molen.New(molen.Config{
+			ISA:           cfg.ISA,
+			NumACs:        cfg.NumACs,
+			Timing:        cfg.Timing,
+			MonitorShift:  cfg.MonitorShift,
+			ForecastSeeds: seeds,
+		}), nil
 	default:
 		s, err := sched.New(cfg.Scheduler)
 		if err != nil {
 			return nil, fmt.Errorf("rispp: %w", err)
 		}
-		mgr := core.NewManager(core.Config{
+		return core.NewManager(core.Config{
 			ISA:                 cfg.ISA,
 			NumACs:              cfg.NumACs,
 			Scheduler:           s,
 			Timing:              cfg.Timing,
 			Eviction:            cfg.Eviction,
 			MonitorShift:        cfg.MonitorShift,
+			ForecastSeeds:       seeds,
 			ExhaustiveSelection: cfg.ExhaustiveSelection,
 			Prefetch:            cfg.Prefetch,
-		})
-		if cfg.SeedForecasts {
-			mgr.SeedFromTrace(cfg.Workload)
-		}
-		return mgr, nil
+		}), nil
 	}
 }
 
@@ -176,13 +187,22 @@ func Run(cfg Config) (*sim.Result, error) {
 // checks the context between events (Atom-load completions and phase
 // boundaries), so even a billions-of-cycles run stops promptly.
 func RunContext(ctx context.Context, cfg Config) (*sim.Result, error) {
-	cfg.setDefaults()
-	rt, err := NewRuntime(cfg)
+	cfg.setDefaults(true)
+	// Compiling validates the trace against the ISA and derives the
+	// forecast seeds.
+	ct, err := workload.Compile(cfg.Workload, cfg.ISA)
 	if err != nil {
 		return nil, err
 	}
-	// sim.RunContext compiles the trace, which validates it against the ISA.
-	return sim.RunContext(ctx, cfg.Workload, cfg.ISA, rt, cfg.Collect)
+	rt, err := newRuntime(&cfg, ct.Seeds)
+	if err != nil {
+		return nil, err
+	}
+	res := new(sim.Result)
+	if err := sim.RunCompiled(ctx, ct, rt, cfg.Collect, res); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // Runner materializes explore.Points as full simulation runs over a base
@@ -404,13 +424,10 @@ func (r *Runner) runPointDelta(ctx context.Context, cfg *Config, work workKey, c
 }
 
 // newRuntime builds the runtime for one run of cfg over the compiled trace
-// ct; the run owns it and drops it when it ends. Forecast seeding reads
-// ct.Trace rather than regenerating the workload.
+// ct; the run owns it and drops it when it ends. Seeded forecasts read
+// ct.Seeds in place.
 func (r *Runner) newRuntime(cfg *Config, ct *workload.Compiled) (sim.Runtime, error) {
-	if cfg.Workload == nil {
-		cfg.Workload = ct.Trace
-	}
-	rt, err := NewRuntime(*cfg)
+	rt, err := newRuntime(cfg, ct.Seeds)
 	if err == nil {
 		r.built.Add(1)
 	}
@@ -422,8 +439,8 @@ func (r *Runner) newRuntime(cfg *Config, ct *workload.Compiled) (sim.Runtime, er
 // cfg.Workload is left nil for generator-driven traces: generating the
 // trace is only necessary on a compile-memo miss, and materializeWorkload
 // fills it in exactly there; a runtime build seeds its forecasts from the
-// memoized compiled trace instead. A run on a warm memo therefore touches
-// neither the ISA builder nor the trace generator.
+// memoized compiled trace's seed table instead. A run on a warm memo
+// therefore touches neither the ISA builder nor the trace generator.
 //
 // A point naming a scenario swaps in that scenario's ISA (the merged
 // instruction set of a multi-app scenario is a different Atom space than

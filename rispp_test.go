@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rispp/internal/core"
 	"rispp/internal/explore"
 	"rispp/internal/isa"
 	"rispp/internal/membus"
@@ -136,6 +137,31 @@ func TestNewRuntimeExposesManager(t *testing.T) {
 	}
 	if rt.Name() != "RISPP/ASF" {
 		t.Fatalf("Name = %q", rt.Name())
+	}
+}
+
+// TestNewRuntimeReadsWorkloadOnlyToSeed: a runtime without seeded
+// forecasts reads no trace, so NewRuntime must not generate the default
+// 140-frame workload (~12 MB in ~420 allocations); with seeding it seeds
+// from that workload's table.
+func TestNewRuntimeReadsWorkloadOnlyToSeed(t *testing.T) {
+	is := isa.H264()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := NewRuntime(Config{ISA: is, Scheduler: "ASF", NumACs: 4}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 100 {
+		t.Errorf("NewRuntime without seeding: %.0f allocs, want < 100 (no trace generated)", allocs)
+	}
+
+	rt, err := NewRuntime(Config{ISA: is, Scheduler: "HEF", NumACs: 8, SeedForecasts: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := workload.H264(workload.H264Config{}).ForecastSeeds(is)[isa.SISAD]
+	if got := rt.(*core.Manager).Monitor().Expected(isa.HotSpotME, isa.SISAD); want == 0 || got != want {
+		t.Errorf("seeded SAD forecast %d, want the default workload's %d", got, want)
 	}
 }
 
