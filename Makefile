@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race bench bench-paper bench-check bench-baseline prof-diff cover-check verify-oracle fuzz search-smoke soak fabric-smoke e2ebench-check lint loc serve figures verify clean
+.PHONY: all build test examples short race bench bench-paper bench-check bench-baseline prof-diff cover-check verify-oracle fuzz search-smoke soak fabric-smoke e2ebench-check lint loc serve figures verify clean
 
 all: build test
 
@@ -12,6 +12,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Runs every program under examples/ at its defaults (what the CI test job
+# runs after Build): the build only compiles them, so this catches a
+# failure at run time. Output is discarded; any non-zero exit fails.
+examples:
+	@set -e; for d in examples/*/; do echo "== $${d%/}"; $(GO) run ./$${d%/} > /dev/null; done
 
 # Skips the full 140-frame integration sweep.
 short:

@@ -10,7 +10,7 @@
 package main
 
 import (
-	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -61,7 +61,9 @@ func main() {
 			SceneChangeFrame:  *scene,
 		})
 	}
+	is := isa.H264()
 	cfg := rispp.Config{
+		ISA:           is,
 		Scheduler:     *scheduler,
 		NumACs:        *acs,
 		Workload:      tr,
@@ -72,30 +74,31 @@ func main() {
 		cfg.Collect.HistogramBucket = 100_000
 	}
 	cfg.Collect.Timeline = *timeline
+	var jf *os.File
 	if *journal != "" {
 		f, err := os.Create(*journal)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "risppsim:", err)
-			os.Exit(1)
+			fail(err)
 		}
-		defer f.Close()
-		w := bufio.NewWriter(f)
-		defer w.Flush()
-		cfg.Collect.Journal = w
+		// sim buffers the journal itself and reports the run's first write
+		// error, so the file is handed over unbuffered.
+		jf, cfg.Collect.Journal = f, f
 	}
 
-	rt, err := rispp.NewRuntime(cfg)
+	ct, rt, err := rispp.Build(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "risppsim:", err)
-		os.Exit(1)
+		fail(err)
 	}
-	res, err := sim.Run(tr, isa.H264(), rt, cfg.Collect)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "risppsim:", err)
-		os.Exit(1)
+	res := new(sim.Result)
+	if err := sim.RunCompiled(context.Background(), ct, rt, cfg.Collect, res); err != nil {
+		fail(err)
+	}
+	if jf != nil {
+		if err := jf.Close(); err != nil {
+			fail(err)
+		}
 	}
 
-	is := isa.H264()
 	if *csv {
 		fmt.Printf("%s,%d,%d,%d\n", res.Runtime, *acs, *frames, res.TotalCycles)
 		return
@@ -155,4 +158,9 @@ func main() {
 			fmt.Println()
 		}
 	}
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "risppsim:", err)
+	os.Exit(1)
 }

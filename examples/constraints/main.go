@@ -9,12 +9,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"rispp"
 	"rispp/internal/core"
 	"rispp/internal/isa"
-	"rispp/internal/sched"
 	"rispp/internal/sim"
 	"rispp/internal/workload"
 )
@@ -40,16 +41,17 @@ func (t *throttler) EnterHotSpot(h isa.HotSpotID, now int64) {
 }
 
 func main() {
-	is := isa.H264()
-	tr := workload.H264(workload.H264Config{Frames: 14})
-	s, err := sched.New("HEF")
+	ct, rt, err := rispp.Build(rispp.Config{
+		Workload:      workload.H264(workload.H264Config{Frames: 14}),
+		Scheduler:     "HEF",
+		NumACs:        16,
+		SeedForecasts: true,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	mgr := core.NewManager(core.Config{ISA: is, NumACs: 16, Scheduler: s, ForecastSeeds: tr.ForecastSeeds(is)})
-
-	res, err := sim.Run(tr, is, &throttler{Manager: mgr}, sim.Options{})
-	if err != nil {
+	res := new(sim.Result)
+	if err := sim.RunCompiled(context.Background(), ct, &throttler{Manager: rt.(*core.Manager)}, sim.Options{}, res); err != nil {
 		log.Fatal(err)
 	}
 

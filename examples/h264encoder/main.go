@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -16,8 +17,8 @@ import (
 	"strings"
 
 	"rispp"
+	"rispp/internal/explore"
 	"rispp/internal/stats"
-	"rispp/internal/workload"
 )
 
 func main() {
@@ -34,11 +35,23 @@ func main() {
 		acs = append(acs, n)
 	}
 
-	tr := workload.H264(workload.H264Config{Frames: *frames})
+	// The grid runs concurrently through the exploration engine; the
+	// simulator is deterministic, so the numbers match a sequential sweep.
 	systems := append(append([]string(nil), rispp.Schedulers...), "Molen")
-	cycles, err := rispp.Sweep(rispp.Config{Workload: tr, SeedForecasts: true}, systems, acs)
+	spec := explore.Spec{Schedulers: systems, ACs: acs, Frames: []int{*frames}}
+	res, err := rispp.Explorer(rispp.Config{}, 0, nil).Execute(context.Background(), spec, nil)
+	if err == nil {
+		err = res.FirstErr()
+	}
 	if err != nil {
 		log.Fatal(err)
+	}
+	cycles := make(map[string]map[int]int64)
+	for _, rec := range res.Records {
+		if cycles[rec.Point.Scheduler] == nil {
+			cycles[rec.Point.Scheduler] = make(map[int]int64)
+		}
+		cycles[rec.Point.Scheduler][rec.Point.NumACs] = rec.TotalCycles
 	}
 
 	fmt.Printf("Encoding %d CIF frames — execution time [Mcycles]\n\n", *frames)

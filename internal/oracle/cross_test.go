@@ -2,6 +2,7 @@ package oracle_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -14,12 +15,13 @@ import (
 	"rispp/internal/workload"
 )
 
-// simRuntime returns a constructor of the simulator's runtime for the
-// configuration the oracle interprets: the rispp.NewRuntime construction
-// with design-time forecast seeding, mirroring oracle.NewSystem.
-func simRuntime(name string, is *isa.ISA, acs int, tr *workload.Trace) func() (sim.Runtime, error) {
-	return func() (sim.Runtime, error) {
-		return rispp.NewRuntime(rispp.Config{ISA: is, Workload: tr, Scheduler: name, NumACs: acs, SeedForecasts: true})
+// simRuntime returns a constructor of the simulator's side of the
+// configuration the oracle interprets: rispp.Build, which compiles the trace
+// and builds the runtime with design-time forecast seeding, mirroring
+// oracle.NewSystem.
+func simRuntime(name string, is *isa.ISA, acs int, tr *workload.Trace) func() (*workload.Compiled, sim.Runtime, error) {
+	return func() (*workload.Compiled, sim.Runtime, error) {
+		return rispp.Build(rispp.Config{ISA: is, Workload: tr, Scheduler: name, NumACs: acs, SeedForecasts: true})
 	}
 }
 
@@ -27,12 +29,12 @@ func simRuntime(name string, is *isa.ISA, acs int, tr *workload.Trace) func() (s
 // interprets (see simRuntime).
 func runSim(t *testing.T, name string, is *isa.ISA, acs int, tr *workload.Trace, opts sim.Options) *sim.Result {
 	t.Helper()
-	rt, err := simRuntime(name, is, acs, tr)()
+	ct, rt, err := simRuntime(name, is, acs, tr)()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(tr, is, rt, opts)
-	if err != nil {
+	res := new(sim.Result)
+	if err := sim.RunCompiled(context.Background(), ct, rt, opts, res); err != nil {
 		t.Fatal(err)
 	}
 	return res
@@ -46,13 +48,13 @@ func allArtifacts(bucket int64) oracle.Options {
 
 // crossCheck compares the simulator with want, the oracle's account of the
 // same configuration collected with allArtifacts(bucket), in two runs on
-// fresh runtimes from newRT: one collecting the histogram, the timeline and
+// fresh systems from build: one collecting the histogram, the timeline and
 // the journal, and one with the journal only — the artifact-free options a
 // sweep runs with, under which the simulator steps over whole blocks of
 // bursts (a histogram needs every burst's start, so the first run walks
 // them all). Both must match field-exact, journal bytes included, and
 // satisfy the paper invariants; the first divergence is returned.
-func crossCheck(tr *workload.Trace, is *isa.ISA, want *oracle.Result, bucket int64, newRT func() (sim.Runtime, error)) error {
+func crossCheck(tr *workload.Trace, is *isa.ISA, want *oracle.Result, bucket int64, build func() (*workload.Compiled, sim.Runtime, error)) error {
 	bare := *want
 	bare.Histogram, bare.Timeline = nil, nil
 	runs := []struct {
@@ -64,13 +66,14 @@ func crossCheck(tr *workload.Trace, is *isa.ISA, want *oracle.Result, bucket int
 		{"artifact-free", &bare, sim.Options{}},
 	}
 	for _, run := range runs {
-		rt, err := newRT()
+		ct, rt, err := build()
 		if err != nil {
 			return err
 		}
 		var journal bytes.Buffer
 		run.opts.Journal = &journal
-		got, err := sim.Run(tr, is, rt, run.opts)
+		got := new(sim.Result)
+		err = sim.RunCompiled(context.Background(), ct, rt, run.opts, got)
 		if err == nil {
 			err = oracle.Diff(run.want, got)
 		}

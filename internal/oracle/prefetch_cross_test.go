@@ -31,9 +31,13 @@ func crossCheckManager(is *isa.ISA, tr *workload.Trace, cfg core.Config) (m *cor
 	if err != nil {
 		return nil, err
 	}
-	err = crossCheck(tr, is, want, 50_000, func() (sim.Runtime, error) {
+	ct, err := workload.Compile(tr, is)
+	if err != nil {
+		return nil, err
+	}
+	err = crossCheck(tr, is, want, 50_000, func() (*workload.Compiled, sim.Runtime, error) {
 		m = twin()
-		return m, nil
+		return ct, m, nil
 	})
 	return m, err
 }

@@ -24,7 +24,7 @@ const reuseSeeds = 100 // × len(oracle.Systems) = 600 triples
 
 func newRuntime(t *testing.T, sys string, is *isa.ISA, acs int, tr *workload.Trace) sim.Runtime {
 	t.Helper()
-	rt, err := rispp.NewRuntime(rispp.Config{ISA: is, Workload: tr, Scheduler: sys, NumACs: acs, SeedForecasts: true})
+	_, rt, err := rispp.Build(rispp.Config{ISA: is, Workload: tr, Scheduler: sys, NumACs: acs, SeedForecasts: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ var Systems = []string{"FSFR", "ASF", "SJF", "HEF", "Molen", "software"}
 // paper-default calibration (default reconfiguration timing, LRU eviction,
 // greedy Molecule selection) and forecasts seeded from tr's seed table
 // (workload.Trace.ForecastSeeds, the design-time estimation of the
-// toolchain) — the same construction rispp.NewRuntime performs for a Config
+// toolchain) — the same construction rispp.Build performs for a Config
 // with SeedForecasts set. Each call returns an independent instance, so the
 // oracle and the simulator can drive twins of the same system through the
 // same trace.

@@ -25,8 +25,8 @@
 // The hot path is allocation-free in the steady state: workload.Compile
 // resolves the per-SI latencies and block summaries the inner loop needs
 // once per trace, per-SI accounting lives in dense slices indexed by SIID,
-// and RunCompiled reuses a caller-owned Result across runs. Run/RunContext
-// wrap this pipeline for one-shot use.
+// and RunCompiled reuses a caller-owned Result across runs. Run wraps this
+// pipeline for one-shot use.
 package sim
 
 import (
@@ -269,26 +269,18 @@ func (r *Result) reset(runtime string, nSIs, nPhases int, opts Options) {
 	}
 }
 
-// Run simulates the trace on the runtime and returns the result. The
-// runtime is Reset first, so a Runtime can be reused across runs.
+// Run compiles the trace, simulates it on the runtime and returns the
+// result. The runtime is Reset first, so a Runtime can be reused across
+// runs. Run compiles on every call; callers running the same trace
+// repeatedly, or needing cancellation, should Compile once and use
+// RunCompiled.
 func Run(tr *workload.Trace, is *isa.ISA, rt Runtime, opts Options) (*Result, error) {
-	return RunContext(context.Background(), tr, is, rt, opts)
-}
-
-// RunContext is Run with cancellation: the context is checked between
-// simulation events (phase boundaries and Atom-load completions — not per
-// simulated cycle, which would defeat the closed-form advance). On
-// cancellation it returns an error wrapping ctx.Err().
-//
-// RunContext compiles the trace on every call; callers running the same
-// trace repeatedly should Compile once and use RunCompiled.
-func RunContext(ctx context.Context, tr *workload.Trace, is *isa.ISA, rt Runtime, opts Options) (*Result, error) {
 	ct, err := workload.Compile(tr, is)
 	if err != nil {
 		return nil, err
 	}
 	res := new(Result)
-	if err := RunCompiled(ctx, ct, rt, opts, res); err != nil {
+	if err := RunCompiled(context.Background(), ct, rt, opts, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -297,7 +289,10 @@ func RunContext(ctx context.Context, tr *workload.Trace, is *isa.ISA, rt Runtime
 // RunCompiled simulates a pre-compiled trace into a caller-owned Result,
 // reusing the Result's internal buffers: repeated runs into the same Result
 // allocate nothing in the steady state (without journal or histogram
-// collection). The runtime is Reset first. On error the Result holds the
+// collection). The runtime is Reset first. The context is checked between
+// simulation events (phase boundaries and Atom-load completions — not per
+// simulated cycle, which would defeat the closed-form advance); on
+// cancellation the error wraps ctx.Err(). On error the Result holds the
 // partial state of the aborted run and must not be interpreted.
 func RunCompiled(ctx context.Context, ct *workload.Compiled, rt Runtime, opts Options, res *Result) error {
 	rt.Reset()

@@ -96,13 +96,13 @@ type Config struct {
 	DisableDelta bool
 }
 
-// setDefaults resolves the default ISA, scheduler and, when trace is set,
-// workload (the 140-frame encode, ~12 MB), then applies the Bus.
-func (c *Config) setDefaults(trace bool) {
+// setDefaults resolves the default ISA, workload (the 140-frame encode,
+// ~12 MB) and scheduler, then applies the Bus.
+func (c *Config) setDefaults() {
 	if c.ISA == nil {
 		c.ISA = isa.H264()
 	}
-	if c.Workload == nil && trace {
+	if c.Workload == nil {
 		c.Workload = workload.H264(workload.H264Config{})
 	}
 	if c.Scheduler == "" {
@@ -130,16 +130,23 @@ func (c *Config) applyBus() *membus.Config {
 	return bus
 }
 
-// NewRuntime builds the runtime described by the config without running it;
-// useful for custom simulation loops. It reads the workload only to seed
-// the forecasts, and generates the default one only then.
-func NewRuntime(cfg Config) (sim.Runtime, error) {
-	cfg.setDefaults(cfg.SeedForecasts)
-	var seeds []int64
-	if cfg.SeedForecasts {
-		seeds = cfg.Workload.ForecastSeeds(cfg.ISA)
+// Build turns the config into a system ready to simulate: it resolves the
+// defaults, compiles the workload against the ISA (which validates every
+// burst and derives the forecast seed table) and builds the runtime, seeded
+// from the compiled table when cfg.SeedForecasts is set. Run it with
+// sim.RunCompiled; the runtime stays the caller's, so its counters can be
+// read after the run.
+func Build(cfg Config) (*workload.Compiled, sim.Runtime, error) {
+	cfg.setDefaults()
+	ct, err := workload.Compile(cfg.Workload, cfg.ISA)
+	if err != nil {
+		return nil, nil, err
 	}
-	return newRuntime(&cfg, seeds)
+	rt, err := newRuntime(&cfg, ct.Seeds)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ct, rt, nil
 }
 
 // newRuntime builds the runtime cfg describes, its forecasts seeded from
@@ -187,14 +194,7 @@ func Run(cfg Config) (*sim.Result, error) {
 // checks the context between events (Atom-load completions and phase
 // boundaries), so even a billions-of-cycles run stops promptly.
 func RunContext(ctx context.Context, cfg Config) (*sim.Result, error) {
-	cfg.setDefaults(true)
-	// Compiling validates the trace against the ISA and derives the
-	// forecast seeds.
-	ct, err := workload.Compile(cfg.Workload, cfg.ISA)
-	if err != nil {
-		return nil, err
-	}
-	rt, err := newRuntime(&cfg, ct.Seeds)
+	ct, rt, err := Build(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -223,8 +223,8 @@ func RunContext(ctx context.Context, cfg Config) (*sim.Result, error) {
 // do not share an explore.Cache across different traces, since the point
 // key only describes the knobs.
 //
-// A Runner keeps no runtimes: each simulated run builds its own with
-// NewRuntime and drops it when the run ends. Unless Config.DisableDelta is
+// A Runner keeps no runtimes: each simulated run builds its own, as Build
+// does, and drops it when the run ends. Unless Config.DisableDelta is
 // set, every eligible run leaves a checkpoint trail (sim.Trail) instead: a
 // repeat of the point is served from it without building a runtime, and a
 // longer trace of the same workload family at the same budget resumes from
@@ -402,7 +402,7 @@ func (r *Runner) runPointDelta(ctx context.Context, cfg *Config, work workKey, c
 	if err != nil {
 		return err
 	}
-	crt := rt.(sim.Checkpointable) // every runtime NewRuntime builds is
+	crt := rt.(sim.Checkpointable) // every runtime newRuntime builds is
 	rec := new(sim.Trail)
 	resumed := false
 	if best != nil {
@@ -656,33 +656,4 @@ func (r *Runner) runMetrics(ctx context.Context, p explore.Point, check bool) (e
 		SWExecutions: res.TotalSWExecutions(),
 		HWExecutions: res.TotalHWExecutions(),
 	}, nil
-}
-
-// Sweep runs the given schedulers over a range of Atom Container counts
-// (the Figure 7 / Table 2 experiment) and returns results indexed
-// [scheduler][numACs]. The points run concurrently through the exploration
-// engine; the simulator is deterministic, so results are identical to a
-// sequential sweep.
-func Sweep(base Config, schedulers []string, acs []int) (map[string]map[int]int64, error) {
-	spec := explore.Spec{
-		Schedulers:    schedulers,
-		ACs:           acs,
-		SeedForecasts: []bool{base.SeedForecasts},
-		Prefetch:      []bool{base.Prefetch},
-	}
-	res, err := Explorer(base, 0, nil).Execute(context.Background(), spec, nil)
-	if err != nil {
-		return nil, fmt.Errorf("rispp: sweep: %w", err)
-	}
-	if err := res.FirstErr(); err != nil {
-		return nil, fmt.Errorf("rispp: sweep: %w", err)
-	}
-	out := make(map[string]map[int]int64, len(schedulers))
-	for _, rec := range res.Records {
-		if out[rec.Point.Scheduler] == nil {
-			out[rec.Point.Scheduler] = make(map[int]int64, len(acs))
-		}
-		out[rec.Point.Scheduler][rec.Point.NumACs] = rec.TotalCycles
-	}
-	return out, nil
 }

@@ -3,6 +3,7 @@ package rispp
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rispp/internal/core"
@@ -37,12 +38,16 @@ func TestRunUnknownScheduler(t *testing.T) {
 	}
 }
 
-func TestRunRejectsMismatchedWorkload(t *testing.T) {
-	bad := &workload.Trace{Phases: []workload.Phase{{
+// mismatchedTrace names SI 99, which the H.264 ISA lacks.
+func mismatchedTrace() *workload.Trace {
+	return &workload.Trace{Phases: []workload.Phase{{
 		HotSpot: isa.HotSpotME,
 		Bursts:  []workload.Burst{{SI: 99, Count: 1}},
 	}}}
-	if _, err := Run(Config{Workload: bad}); err == nil {
+}
+
+func TestRunRejectsMismatchedWorkload(t *testing.T) {
+	if _, err := Run(Config{Workload: mismatchedTrace()}); err == nil {
 		t.Fatal("invalid workload accepted")
 	}
 }
@@ -97,23 +102,38 @@ func TestRunsAreReproducible(t *testing.T) {
 	}
 }
 
+// TestSweep: a scheduler × budget grid through the exploration engine
+// ranks HEF ahead of Molen.
 func TestSweep(t *testing.T) {
-	out, err := Sweep(Config{Workload: shortTrace(2), SeedForecasts: true},
-		[]string{"HEF", "Molen"}, []int{6, 12})
+	res, err := Explorer(Config{}, 0, nil).Execute(context.Background(),
+		explore.Spec{Schedulers: []string{"HEF", "Molen"}, ACs: []int{6, 12}, Frames: []int{2}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 || len(out["HEF"]) != 2 {
-		t.Fatalf("sweep shape = %v", out)
+	if err := res.FirstErr(); err != nil || len(res.Records) != 4 {
+		t.Fatalf("%d records, first error %v", len(res.Records), err)
 	}
-	if out["HEF"][12] >= out["Molen"][12] {
-		t.Errorf("HEF (%d) not faster than Molen (%d) at 12 ACs", out["HEF"][12], out["Molen"][12])
+	cycles := make(map[string]int64)
+	for _, rec := range res.Records {
+		if rec.Point.NumACs == 12 {
+			cycles[rec.Point.Scheduler] = rec.TotalCycles
+		}
+	}
+	if cycles["HEF"] >= cycles["Molen"] {
+		t.Errorf("HEF (%d) not faster than Molen (%d) at 12 ACs", cycles["HEF"], cycles["Molen"])
 	}
 }
 
+// TestSweepPropagatesErrors: a grid point naming an unknown scheduler
+// comes back from the exploration engine as a failed record.
 func TestSweepPropagatesErrors(t *testing.T) {
-	if _, err := Sweep(Config{Workload: shortTrace(1)}, []string{"nope"}, []int{4}); err == nil {
-		t.Fatal("sweep swallowed scheduler error")
+	res, err := Explorer(Config{}, 0, nil).Execute(context.Background(),
+		explore.Spec{Schedulers: []string{"nope"}, ACs: []int{4}, Frames: []int{1}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Records) != 1 || !strings.Contains(res.Records[0].Err, `unknown scheduler "nope"`) {
+		t.Errorf("unknown scheduler: records %+v, want one failed record naming it", res.Records)
 	}
 }
 
@@ -130,8 +150,8 @@ func TestCollectOptions(t *testing.T) {
 	}
 }
 
-func TestNewRuntimeExposesManager(t *testing.T) {
-	rt, err := NewRuntime(Config{Scheduler: "ASF", NumACs: 4})
+func TestBuildExposesManager(t *testing.T) {
+	_, rt, err := Build(Config{Scheduler: "ASF", NumACs: 4, Workload: shortTrace(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,28 +160,26 @@ func TestNewRuntimeExposesManager(t *testing.T) {
 	}
 }
 
-// TestNewRuntimeReadsWorkloadOnlyToSeed: a runtime without seeded
-// forecasts reads no trace, so NewRuntime must not generate the default
-// 140-frame workload (~12 MB in ~420 allocations); with seeding it seeds
-// from that workload's table.
-func TestNewRuntimeReadsWorkloadOnlyToSeed(t *testing.T) {
-	is := isa.H264()
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := NewRuntime(Config{ISA: is, Scheduler: "ASF", NumACs: 4}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs >= 100 {
-		t.Errorf("NewRuntime without seeding: %.0f allocs, want < 100 (no trace generated)", allocs)
-	}
-
-	rt, err := NewRuntime(Config{ISA: is, Scheduler: "HEF", NumACs: 8, SeedForecasts: true})
+// TestBuildSeedsFromCompiledTrace: a seeded runtime's forecasts come from
+// the compiled trace's seed table, the one the Runner seeds from too.
+func TestBuildSeedsFromCompiledTrace(t *testing.T) {
+	ct, rt, err := Build(Config{Scheduler: "HEF", NumACs: 8, Workload: shortTrace(2), SeedForecasts: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := workload.H264(workload.H264Config{}).ForecastSeeds(is)[isa.SISAD]
+	want := ct.Seeds[isa.SISAD]
 	if got := rt.(*core.Manager).Monitor().Expected(isa.HotSpotME, isa.SISAD); want == 0 || got != want {
-		t.Errorf("seeded SAD forecast %d, want the default workload's %d", got, want)
+		t.Errorf("seeded SAD forecast %d, want the compiled table's %d", got, want)
+	}
+}
+
+// TestBuildRejectsUnknownSI: a trace naming an SI the ISA lacks is a
+// compile error, also when the forecasts are seeded from it.
+func TestBuildRejectsUnknownSI(t *testing.T) {
+	for _, sched := range []string{"HEF", "Molen"} {
+		if _, _, err := Build(Config{Scheduler: sched, NumACs: 8, Workload: mismatchedTrace(), SeedForecasts: true}); err == nil {
+			t.Errorf("%s: Build accepted a trace naming SI 99", sched)
+		}
 	}
 }
 

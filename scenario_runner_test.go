@@ -1,46 +1,73 @@
 package rispp
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"strings"
 	"testing"
 
 	"rispp/internal/explore"
+	"rispp/internal/oracle"
 	"rispp/internal/scenario"
 	"rispp/internal/sim"
 	"rispp/internal/workload"
 )
 
-// TestRunPointScenarioMatchesDirect: a scenario point through the Runner
-// (with its memo and delta layer) is field-exact identical to a
-// plain Run under the scenario's ISA and expanded trace.
+// TestRunPointScenarioMatchesDirect: a point through the Runner (with its
+// memo and delta layer), first recorded and then served from its trail, is
+// field-exact identical to a plain Run of the same configuration, journal
+// bytes included: every scenario under HEF, and the H.264 encode under all
+// six run-time systems at two budgets with prefetch off and on.
 func TestRunPointScenarioMatchesDirect(t *testing.T) {
-	rn := NewRunner(Config{})
+	type pointCase struct {
+		p   explore.Point
+		cfg Config // the equivalent Run config
+	}
+	var cases []pointCase
 	for _, name := range scenario.Names() {
 		sc, _ := scenario.Find(name)
-		p := explore.Point{Scheduler: "HEF", NumACs: 6, Frames: 3, Seed: 2,
-			SeedForecasts: true, Scenario: name}
-		got := new(sim.Result)
-		if err := rn.RunPoint(context.Background(), p, sim.Options{}, got); err != nil {
-			t.Fatalf("%s: RunPoint: %v", name, err)
-		}
-		want, err := Run(Config{
-			ISA:           sc.ISA(),
-			Workload:      sc.Trace(3, 2),
-			Scheduler:     "HEF",
-			NumACs:        6,
-			SeedForecasts: true,
+		cases = append(cases, pointCase{
+			explore.Point{Scheduler: "HEF", NumACs: 6, Frames: 3, Seed: 2, SeedForecasts: true, Scenario: name},
+			Config{ISA: sc.ISA(), Workload: sc.Trace(3, 2), Scheduler: "HEF", NumACs: 6, SeedForecasts: true},
 		})
+	}
+	tr := workload.H264(workload.H264Config{Frames: 3, Seed: 2})
+	for _, sys := range oracle.Systems {
+		for _, acs := range []int{5, 12} {
+			for _, prefetch := range []bool{false, true} {
+				cases = append(cases, pointCase{
+					explore.Point{Scheduler: sys, NumACs: acs, Frames: 3, Seed: 2, SeedForecasts: true, Prefetch: prefetch},
+					Config{Workload: tr, Scheduler: sys, NumACs: acs, SeedForecasts: true, Prefetch: prefetch},
+				})
+			}
+		}
+	}
+
+	rn := NewRunner(Config{})
+	for _, c := range cases {
+		var wantJ bytes.Buffer
+		c.cfg.Collect.Journal = &wantJ
+		want, err := Run(c.cfg)
 		if err != nil {
-			t.Fatalf("%s: direct Run: %v", name, err)
+			t.Fatalf("%s: direct Run: %v", c.p.Key(), err)
 		}
-		if got.TotalCycles != want.TotalCycles || got.StallCycles != want.StallCycles {
-			t.Errorf("%s: Runner %d/%d cycles, direct %d/%d",
-				name, got.TotalCycles, got.StallCycles, want.TotalCycles, want.StallCycles)
-		}
-		if !reflect.DeepEqual(got.Executions(), want.Executions()) {
-			t.Errorf("%s: Executions differ between Runner and direct Run", name)
+		for _, pass := range []string{"first", "repeat"} {
+			serves, _, _ := rn.DeltaStats()
+			var gotJ bytes.Buffer
+			got := new(sim.Result)
+			if err := rn.RunPoint(context.Background(), c.p, sim.Options{Journal: &gotJ}, got); err != nil {
+				t.Fatalf("%s: %s RunPoint: %v", c.p.Key(), pass, err)
+			}
+			if err := oracle.DiffResults(want, got); err != nil {
+				t.Errorf("%s: %s RunPoint against direct Run: %v", c.p.Key(), pass, err)
+			}
+			if !bytes.Equal(gotJ.Bytes(), wantJ.Bytes()) {
+				t.Errorf("%s: %s RunPoint journal differs from direct Run's", c.p.Key(), pass)
+			}
+			if after, _, _ := rn.DeltaStats(); pass == "repeat" && after != serves+1 {
+				t.Errorf("%s: repeat was not served from the trail", c.p.Key())
+			}
 		}
 	}
 }
