@@ -46,6 +46,7 @@ bench-check:
 	$(GO) test -run '^$$' -bench BenchmarkSearchDriver -benchtime 20x -benchmem -count 5 ./internal/search >> bench_check.txt
 	$(GO) test -run '^$$' -bench BenchmarkServeSimulate -benchtime 200x -benchmem -count 5 ./internal/serve >> bench_check.txt
 	$(GO) test -run '^$$' -bench BenchmarkFabric -benchtime 5x -benchmem -count 5 ./internal/fabric >> bench_check.txt
+	$(GO) test -run '^$$' -bench BenchmarkCacheRoundTrip -benchtime 20x -benchmem -count 5 ./internal/explore >> bench_check.txt
 	$(GO) run ./scripts/benchcheck -baseline BENCH_baseline.json < bench_check.txt
 
 # Re-measure the bench baseline on this machine (commit the result).
@@ -55,6 +56,7 @@ bench-baseline:
 	$(GO) test -run '^$$' -bench BenchmarkSearchDriver -benchtime 20x -benchmem -count 5 ./internal/search >> bench_baseline.txt
 	$(GO) test -run '^$$' -bench BenchmarkServeSimulate -benchtime 200x -benchmem -count 5 ./internal/serve >> bench_baseline.txt
 	$(GO) test -run '^$$' -bench BenchmarkFabric -benchtime 5x -benchmem -count 5 ./internal/fabric >> bench_baseline.txt
+	$(GO) test -run '^$$' -bench BenchmarkCacheRoundTrip -benchtime 20x -benchmem -count 5 ./internal/explore >> bench_baseline.txt
 	$(GO) run ./scripts/benchcheck -update -baseline BENCH_baseline.json < bench_baseline.txt
 	rm -f bench_baseline.txt
 

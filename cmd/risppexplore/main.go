@@ -64,8 +64,8 @@ func main() {
 		forecasts = flag.String("seedforecasts", "", "comma-separated booleans for the forecast-seeding dimension")
 		workers   = flag.Int("j", 0, "parallel simulations (0 = GOMAXPROCS)")
 		timeout   = flag.Duration("timeout", 0, "overall deadline (0 = none)")
-		cacheDir  = flag.String("cache", "", "content-addressed result cache directory")
-		resume    = flag.Bool("resume", true, "reuse completed points from -cache (false: re-simulate and overwrite)")
+		cacheDir  = flag.String("cache", "", "content-addressed result cache directory (each run appends to a log-*.jsonl of its own)")
+		resume    = flag.Bool("resume", true, "reuse completed points from -cache (false: re-simulate and append a superseding record)")
 		out       = flag.String("out", "-", "JSONL output file (- = stdout)")
 		summary   = flag.Bool("summary", true, "print the sweep summary to stderr")
 		baseline  = flag.String("baseline", "Molen", "baseline scheduler for the speedup table")

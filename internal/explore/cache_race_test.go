@@ -1,7 +1,7 @@
 package explore
 
 import (
-	"path/filepath"
+	"os"
 	"sync"
 	"testing"
 )
@@ -9,9 +9,8 @@ import (
 // TestCacheConcurrentWritersSharedDir hammers one cache directory from many
 // goroutines across two independent Cache instances — the multi-process
 // sharing mode of the sweep fabric (several risppserve workers pointed at
-// one directory). Every Put must succeed: racing writers hold byte-identical
-// entries, so losing a rename race to an equal entry is success, not an
-// error.
+// one directory). Every Put must succeed: each instance appends to a log of
+// its own, and racing writers of one point hold byte-identical entries.
 func TestCacheConcurrentWritersSharedDir(t *testing.T) {
 	dir := t.TempDir()
 	c1, err := OpenCache(dir)
@@ -62,12 +61,16 @@ func TestCacheConcurrentWritersSharedDir(t *testing.T) {
 			t.Errorf("after the race, %s: %+v ok=%v", p.Key(), m, ok)
 		}
 	}
-	// No temp-file litter: every writer either renamed its file or removed it.
-	leftovers, err := filepath.Glob(filepath.Join(dir, ".put-*"))
+	// One log per writing instance and nothing else.
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(leftovers) != 0 {
-		t.Errorf("%d temp files left behind: %v", len(leftovers), leftovers)
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if len(names) != 2 || !logName.MatchString(names[0]) || !logName.MatchString(names[1]) {
+		t.Errorf("cache directory holds %v, want two logs", names)
 	}
 }

@@ -72,8 +72,10 @@ type Engine struct {
 	// trace from the trail of its shorter sibling instead of simulating it
 	// from power-on. Workers then operate on groups instead of single
 	// points; records, their order, and the cache behavior are unchanged.
-	// Cached points are excluded from the batch; a RunSet error fails every
-	// uncached point of its group.
+	// Cached points are excluded from the batch. When RunSet fails, the
+	// batch's points run one at a time through Run, so each point gets its
+	// own record; only a cancelled context fails them all with RunSet's
+	// error.
 	RunSet RunSetFunc
 	// Workers bounds the pool; <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
@@ -294,20 +296,20 @@ func familyOrder(jobs []Point, g []int) {
 	}
 }
 
-// runJob measures one point: cache lookup, guarded simulation, cache fill.
-// A panicking RunFunc fails only its own job. A failing cache write does not
-// fail the job either — the measurement is sound and is surfaced exactly
-// once, as a warning on the record, rather than aborting or re-running the
-// point mid-sweep.
-func (e *Engine) runJob(ctx context.Context, p Point) (rec Record) {
-	rec.Point = p
+// runJob measures one point: cache lookup, then simulate.
+func (e *Engine) runJob(ctx context.Context, p Point) Record {
 	if e.Cache != nil {
 		if m, ok := e.Cache.Get(p); ok {
-			rec.Metrics = m
-			rec.Cached = true
-			return rec
+			return Record{Point: p, Metrics: m, Cached: true}
 		}
 	}
+	return e.simulate(ctx, p)
+}
+
+// simulate measures one uncached point: guarded simulation, cache fill. A
+// panicking RunFunc fails only its own job.
+func (e *Engine) simulate(ctx context.Context, p Point) Record {
+	rec := Record{Point: p}
 	if err := ctx.Err(); err != nil {
 		rec.Err = "skipped: " + err.Error()
 		return rec
@@ -318,18 +320,28 @@ func (e *Engine) runJob(ctx context.Context, p Point) (rec Record) {
 		return rec
 	}
 	rec.Metrics = m
+	e.fill(&rec)
+	return rec
+}
+
+// fill stores a measured record in the cache. A failing cache write does not
+// fail the job: the measurement is sound and is surfaced exactly once, as a
+// warning on the record, rather than aborting or re-running the point
+// mid-sweep.
+func (e *Engine) fill(rec *Record) {
 	if e.Cache != nil {
-		if err := e.Cache.Put(p, m); err != nil {
+		if err := e.Cache.Put(rec.Point, rec.Metrics); err != nil {
 			rec.CacheWarn = err.Error()
 		}
 	}
-	return rec
 }
 
 // runGroup measures a workload family in one RunSet call. Cache lookups,
 // cancellation, and cache fills match runJob point-for-point; only the
-// call into the backend is batched. An error (or panic) in RunSet fails every
-// point that was in the batch.
+// call into the backend is batched. When RunSet fails (errors or panics)
+// with the context still live, each point of the batch is simulated on its
+// own, so a failing point fails only its own record; rispp.Runner serves
+// the points that already ran from their trails.
 func (e *Engine) runGroup(ctx context.Context, jobs []Point, group []int, finish func(int, Record)) {
 	pending := make([]int, 0, len(group))
 	for _, i := range group {
@@ -360,18 +372,19 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Point, group []int, finish
 		err = fmt.Errorf("explore: RunSet returned %d metrics for %d points", len(ms), len(ps))
 	}
 	if err != nil {
+		live := ctx.Err() == nil
 		for _, i := range pending {
-			finish(i, Record{Point: jobs[i], Err: err.Error()})
+			if live {
+				finish(i, e.simulate(ctx, jobs[i]))
+			} else {
+				finish(i, Record{Point: jobs[i], Err: err.Error()})
+			}
 		}
 		return
 	}
 	for k, i := range pending {
 		rec := Record{Point: ps[k], Metrics: ms[k]}
-		if e.Cache != nil {
-			if err := e.Cache.Put(ps[k], ms[k]); err != nil {
-				rec.CacheWarn = err.Error()
-			}
-		}
+		e.fill(&rec)
 		finish(i, rec)
 	}
 }

@@ -386,6 +386,63 @@ func TestRunSetGroupsWorkloadFamilies(t *testing.T) {
 	}
 }
 
+// TestRunSetFailureFallsBackToRun: when RunSet fails on one marked point,
+// the group's other points come back with Run's metrics and land in the
+// cache; only the marked point fails.
+func TestRunSetFailureFallsBackToRun(t *testing.T) {
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs atomic.Int64
+	eng := &Engine{Workers: 2, Cache: cache}
+	eng.Run = func(ctx context.Context, p Point) (Metrics, error) {
+		runs.Add(1)
+		if p.Scheduler == "bad" {
+			return Metrics{}, errors.New("bad point")
+		}
+		return fakeRun(nil)(ctx, p)
+	}
+	eng.RunSet = func(ctx context.Context, ps []Point) ([]Metrics, error) {
+		for _, p := range ps {
+			if p.Scheduler == "bad" {
+				return nil, errors.New("batch failed")
+			}
+		}
+		return make([]Metrics, len(ps)), nil // never Run's metrics
+	}
+	spec := Spec{Schedulers: []string{"HEF", "bad", "Molen"}, ACs: []int{5, 10}, Frames: []int{2, 4}}
+	res, err := eng.Execute(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := res.Summary; s.Failed != 4 || s.Simulated != 8 {
+		t.Fatalf("summary %+v, want the 4 bad points failed and 8 simulated", s)
+	}
+	if runs.Load() != 12 {
+		t.Fatalf("Run called %d times, want 12 (every point of both failed groups)", runs.Load())
+	}
+	fresh, err := OpenCache(cache.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range res.Records {
+		if rec.Point.Scheduler == "bad" {
+			if rec.Err != "bad point" {
+				t.Errorf("%s: err %q, want Run's", rec.Point.Key(), rec.Err)
+			}
+			continue
+		}
+		want, _ := fakeRun(nil)(context.Background(), rec.Point)
+		if !rec.OK() || rec.Metrics != want {
+			t.Errorf("%s: %+v, want Run's metrics %+v", rec.Point.Key(), rec, want)
+		}
+		if m, ok := fresh.Get(rec.Point); !ok || m != want {
+			t.Errorf("%s: cached %+v ok=%v, want %+v", rec.Point.Key(), m, ok, want)
+		}
+	}
+}
+
 func TestPanicRecoveryIsolatesJob(t *testing.T) {
 	eng := &Engine{
 		Workers: 4,

@@ -80,8 +80,8 @@ func (p Point) Key() string {
 	return string(b)
 }
 
-// Hash returns the content address of the point — SHA-256 over Key — used
-// as the cache file name.
+// Hash returns the content address of the point — SHA-256 over Key — under
+// which the result cache stores it.
 func (p Point) Hash() string {
 	h := sha256.Sum256([]byte(p.Key()))
 	return hex.EncodeToString(h[:])

@@ -125,15 +125,28 @@ func TestSweep(t *testing.T) {
 }
 
 // TestSweepPropagatesErrors: a grid point naming an unknown scheduler
-// comes back from the exploration engine as a failed record.
+// comes back from the exploration engine as a failed record, and only it:
+// the good points of its workload family still simulate.
 func TestSweepPropagatesErrors(t *testing.T) {
 	res, err := Explorer(Config{}, 0, nil).Execute(context.Background(),
-		explore.Spec{Schedulers: []string{"nope"}, ACs: []int{4}, Frames: []int{1}}, nil)
+		explore.Spec{Schedulers: []string{"HEF", "nope"}, ACs: []int{4, 6}, Frames: []int{1}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Records) != 1 || !strings.Contains(res.Records[0].Err, `unknown scheduler "nope"`) {
-		t.Errorf("unknown scheduler: records %+v, want one failed record naming it", res.Records)
+	if len(res.Records) != 4 || res.Summary.Failed != 2 || res.Summary.Simulated != 2 {
+		t.Fatalf("summary %+v, want 4 records: 2 simulated, 2 failed", res.Summary)
+	}
+	for _, rec := range res.Records {
+		switch rec.Point.Scheduler {
+		case "nope":
+			if !strings.Contains(rec.Err, `unknown scheduler "nope"`) {
+				t.Errorf("%s: err %q, want one naming the unknown scheduler", rec.Point.Key(), rec.Err)
+			}
+		default:
+			if !rec.OK() || rec.TotalCycles == 0 {
+				t.Errorf("%s: %+v, want a measurement", rec.Point.Key(), rec)
+			}
+		}
 	}
 }
 
